@@ -3,7 +3,7 @@
 Two claims, one artifact:
 
 - **equivalence** — routing the chunk loop through each backend
-  (in-process threads, the legacy fork pool, socket-connected worker
+  (in-process threads, the default fork pool, socket-connected worker
   processes holding only spectrum *shards*) is bitwise identical to
   serial whole-set correction (always asserted, at any scale);
 - **sharded-lookup throughput** — the figure that decides whether a

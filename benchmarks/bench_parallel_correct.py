@@ -98,7 +98,6 @@ def run_scaling(
     reads,
     workers_list: tuple[int, ...],
     chunk_size: int,
-    spectrum_backing: str = "inherit",
 ) -> list[dict]:
     """Fit once, correct at each worker count, return timing rows.
 
@@ -127,7 +126,6 @@ def run_scaling(
             reads,
             workers=w,
             chunk_size=chunk_size,
-            spectrum_backing=spectrum_backing,
         )
         identical = bool(
             np.array_equal(report.reads.codes, baseline.codes)
@@ -273,14 +271,6 @@ def test_parallel_correct_scaling():
     _check_speedup(rows, require=False)
 
 
-def test_parallel_correct_shared_backing_smoke():
-    reads = build_dataset(genome_length=1_500, coverage=8.0, seed=11)
-    rows = run_scaling(
-        reads, workers_list=(2,), chunk_size=128, spectrum_backing="shared"
-    )
-    assert all(r["identical"] for r in rows)
-
-
 def test_hotpath_ablation_equivalence_smoke():
     """Every ablation config is byte-identical to the scalar baseline
     and the emitted artifact satisfies repro-bench-report/1.  (Speedup
@@ -356,10 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker counts to measure",
     )
     p.add_argument(
-        "--spectrum-backing", choices=["inherit", "shared"],
-        default="inherit",
-    )
-    p.add_argument(
         "--require-speedup", action="store_true",
         help="fail if 4 workers are not >= 2x serial even on a small "
              "machine (default: only asserted when >= 4 cores exist)",
@@ -410,7 +396,6 @@ def main(argv: list[str] | None = None) -> int:
             reads,
             workers_list=tuple(args.workers),
             chunk_size=args.chunk_size,
-            spectrum_backing=args.spectrum_backing,
         )
     _print_rows(
         f"Parallel Reptile correction, {reads.n_reads} reads "

@@ -79,7 +79,6 @@ class ChunkedCorrectorMixin:
         workers: int = 1,
         chunk_size: int = 2048,
         policy=None,
-        spectrum_backing: str = "inherit",
     ):
         """Run this corrector through the shared-spectrum parallel
         engine; see :func:`repro.parallel.correct_in_parallel`."""
@@ -91,7 +90,6 @@ class ChunkedCorrectorMixin:
             workers=workers,
             chunk_size=chunk_size,
             policy=policy,
-            spectrum_backing=spectrum_backing,
         )
 
 

@@ -189,25 +189,3 @@ class RedeemCorrector(ChunkedCorrectorMixin):
             "flagged_reads": int(flags.sum()),
             "bases_changed": int(n_changed),
         }
-
-    def correct_parallel(
-        self,
-        reads: ReadSet,
-        workers: int = 1,
-        chunk_size: int = 2048,
-        policy=None,
-        spectrum_backing: str = "inherit",
-    ):
-        """Batch correction across worker processes sharing this
-        corrector's spectrum/EM estimates; see
-        :func:`repro.parallel.correct_in_parallel`."""
-        from ...parallel import correct_in_parallel
-
-        return correct_in_parallel(
-            self,
-            reads,
-            workers=workers,
-            chunk_size=chunk_size,
-            policy=policy,
-            spectrum_backing=spectrum_backing,
-        )

@@ -17,7 +17,8 @@ memory footprint follows ``O(|R^k| + |R^{2k-l}|)`` (Sec. 2.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +33,13 @@ from ...seq.alphabet import reverse_complement_codes
 from ..api import ChunkedCorrectorMixin
 from ..hotpath import HotpathConfig, TileMemoCache
 from .ambiguous import convert_ambiguous
-from .params import ReptileParams, select_parameters
+from .params import (
+    ReptileParams,
+    add_histograms,
+    quality_histogram,
+    select_parameters,
+    select_parameters_streaming,
+)
 from .tile_correct import (
     Decision,
     TileRule,
@@ -149,8 +156,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
                 reads, genome_length_estimate=genome_length_estimate
             )
         if param_overrides:
-            from dataclasses import replace
-
             params = replace(params, **param_overrides)
         with telemetry.span("reptile.spectrum", k=params.k):
             spectrum = spectrum_from_reads(reads, params.k, both_strands=True)
@@ -175,65 +180,92 @@ class ReptileCorrector(ChunkedCorrectorMixin):
     @classmethod
     def fit_streaming(
         cls,
-        chunks,
-        params: ReptileParams,
-        neighbor_backend: str = "precomputed",
-        flexible_tiling: bool = True,
+        chunks: Callable[[], Iterable[ReadSet]],
+        k: int | None = None,
+        genome_length_estimate: int | None = None,
         max_memory_bytes: int | None = None,
         tmp_dir=None,
         hotpath: HotpathConfig | None = None,
-    ) -> "ReptileCorrector":
-        """Phase 1 over a stream of read chunks (Sec. 2.3's divide-and-
-        merge for inputs larger than memory).
+        between_passes: Callable[[], None] | None = None,
+    ) -> tuple["ReptileCorrector", dict]:
+        """The streamed phase 1 (Sec. 2.3's divide-and-merge for inputs
+        larger than memory): two passes over ``chunks()``, a factory
+        returning a fresh iterator of read chunks each call.
 
-        The spectrum and tile table are built from **one** traversal of
-        the stream (the earlier ``itertools.tee`` silently buffered
-        every chunk), folded with the balanced merge — or spilled to
-        disk when ``max_memory_bytes`` bounds the table memory.  The
-        resulting corrector is bitwise identical to one fit on the
-        whole input at once.  Parameters must be supplied (the
-        auto-selection quantiles need their own streamed statistics;
-        see :func:`repro.core.reptile.params.select_parameters_streaming`).
+        Pass A accumulates the quality histogram the parameter
+        selection needs; pass B builds the spectrum and tile table from
+        **one** traversal, folded with the balanced merge — or spilled
+        to disk when ``max_memory_bytes`` bounds the table memory.  The
+        selection tile table is built at the data-driven k; an explicit
+        ``k`` only overrides the k of the final structures, mirroring
+        :meth:`fit`'s select-then-replace exactly, so the corrector is
+        bitwise identical to one fit on the whole input at once.
+        ``between_passes`` runs after pass A (the service renews its
+        lease there).
+
+        Returns ``(corrector, meta)``; ``meta`` carries ``n_reads``,
+        ``spill_bytes`` and ``counting_peak_bytes``.
         """
         from ...kmer.streaming import (
             SpectrumAccumulator,
             TileAccumulator,
             build_from_chunks,
         )
+        qhist = np.zeros(0, dtype=np.int64)
+        n_reads = 0
+        with telemetry.span("stream.scan"):
+            for chunk in chunks():
+                qhist = add_histograms(qhist, quality_histogram(chunk))
+                n_reads += chunk.n_reads
+        if between_passes is not None:
+            between_passes()
 
-        hp = hotpath if hotpath is not None else HotpathConfig()
-        # Build the Bloom prefilters as part of the accumulation pass
-        # so streaming mode gets them without re-touching the tables.
-        fp = hp.prefilter_fp_rate if hp.prefilter else None
-        spec_acc = SpectrumAccumulator(
-            params.k,
-            both_strands=True,
-            max_memory_bytes=max_memory_bytes,
-            tmp_dir=tmp_dir,
-            prefilter_fp_rate=fp,
+        sel_params = select_parameters_streaming(
+            qhist,
+            np.zeros(0, dtype=np.int64),
+            genome_length_estimate=genome_length_estimate,
         )
-        tile_acc = TileAccumulator(
-            params.k,
-            overlap=params.overlap,
-            quality_cutoff=params.qc,
-            both_strands=True,
-            max_memory_bytes=max_memory_bytes,
-            tmp_dir=tmp_dir,
-            prefilter_fp_rate=fp,
-        )
-        with telemetry.span("reptile.fit_streaming", k=params.k):
-            spectrum, tiles = build_from_chunks(chunks, [spec_acc, tile_acc])
-        telemetry.gauge(
-            "spill_bytes", spec_acc.spill_bytes + tile_acc.spill_bytes
-        )
-        return cls(
-            params=params,
-            spectrum=spectrum,
-            tiles=tiles,
-            neighbor_backend=neighbor_backend,
-            flexible_tiling=flexible_tiling,
-            hotpath=hp,
-        )
+        k_final = k if k is not None else sel_params.k
+
+        def tile_accumulator(tile_k: int) -> TileAccumulator:
+            return TileAccumulator(
+                tile_k,
+                overlap=sel_params.overlap,
+                quality_cutoff=sel_params.qc,
+                max_memory_bytes=max_memory_bytes,
+                tmp_dir=tmp_dir,
+            )
+
+        with telemetry.span("fit", method="reptile", k=k_final):
+            accs = [
+                SpectrumAccumulator(
+                    k_final, max_memory_bytes=max_memory_bytes, tmp_dir=tmp_dir
+                ),
+                tile_accumulator(sel_params.k),
+            ]
+            if k_final != sel_params.k:
+                accs.append(tile_accumulator(k_final))
+            with telemetry.span("stream.phase1"):
+                results = build_from_chunks(chunks(), accs)
+            spectrum, sel_tiles, tiles = results[0], results[1], results[-1]
+            params = select_parameters_streaming(
+                qhist,
+                sel_tiles.og,
+                genome_length_estimate=genome_length_estimate,
+            )
+            if k is not None:
+                params = replace(params, k=k)
+            # The constructor attaches the Bloom prefilters to the
+            # final structures only; the selection-only table never
+            # serves lookups and needs none.
+            corrector = cls(
+                params=params, spectrum=spectrum, tiles=tiles, hotpath=hotpath
+            )
+        return corrector, {
+            "n_reads": n_reads,
+            "spill_bytes": sum(acc.spill_bytes for acc in accs),
+            "counting_peak_bytes": max(acc.peak_bytes for acc in accs),
+        }
 
     # -- batched rule precomputation ----------------------------------
     def _bulk_rules(self, codes: np.ndarray, og: np.ndarray, d1: int):
@@ -553,28 +585,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             stats.update(self._memo.harvest())
             telemetry.gauge("hotpath.memo_size", len(self._memo))
         return result.reads, stats
-
-    def correct_parallel(
-        self,
-        reads: ReadSet,
-        workers: int = 1,
-        chunk_size: int = 2048,
-        policy=None,
-        spectrum_backing: str = "inherit",
-    ):
-        """Batch correction across worker processes sharing this
-        corrector's spectrum/tiles; see
-        :func:`repro.parallel.correct_in_parallel`."""
-        from ...parallel import correct_in_parallel
-
-        return correct_in_parallel(
-            self,
-            reads,
-            workers=workers,
-            chunk_size=chunk_size,
-            policy=policy,
-            spectrum_backing=spectrum_backing,
-        )
 
     def memory_estimate_bytes(self) -> int:
         """Rough footprint of the phase-1 structures."""

@@ -16,9 +16,8 @@ Three substrates ship:
 - :class:`LocalThreadsBackend` — a thread pool sharing the parent's
   memory (the debugging/no-fork substrate; numpy kernels release the
   GIL so it still overlaps);
-- :class:`LocalForkBackend` — today's forked process pool, workers
-  inheriting the corrector copy-on-write (wraps
-  :class:`~repro.mapreduce.reliable._PoolManager` unchanged);
+- :class:`LocalForkBackend` — a forked process pool, workers
+  inheriting the corrector copy-on-write (the default);
 - :class:`~repro.distributed.socket_backend.SocketBackend` — separate
   worker *processes* over length-prefixed pickle sockets, each owning
   a shard of the spectrum (see :mod:`repro.distributed.shards`).
@@ -31,9 +30,12 @@ state), the socket backend ships shards and routing tables.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Protocol, runtime_checkable
+
+from ..mapreduce import faults
 
 __all__ = [
     "BACKEND_NAMES",
@@ -41,6 +43,7 @@ __all__ = [
     "LocalForkBackend",
     "LocalThreadsBackend",
     "create_backend",
+    "resolve_backend",
 ]
 
 
@@ -128,12 +131,16 @@ class LocalThreadsBackend:
 
 
 class LocalForkBackend:
-    """Forked process pool: the PR-2 engine behind the protocol.
+    """Forked process pool — the default substrate.
 
     Children inherit the installed corrector/reads through fork's
     copy-on-write pages, so :meth:`install_state` must *rebuild* the
     pool — a pool forked before the state changed would serve stale
-    snapshots (each streamed block re-forks, same as the legacy path).
+    snapshots (each streamed block re-forks).
+
+    ``recreate(generation)`` is a no-op unless the caller's failing
+    future came from the *current* pool — so a burst of futures broken
+    by one crashed worker triggers exactly one rebuild.
     """
 
     name = "fork"
@@ -142,39 +149,44 @@ class LocalForkBackend:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._pool = None
-
-    @property
-    def generation(self) -> int:
-        return self._pool.generation if self._pool is not None else 0
+        self.generation = 0
+        self._executor: ProcessPoolExecutor | None = None
 
     def want_pool(self, workers: int, n_items: int) -> bool:
         return workers > 1 and n_items > 1 and hasattr(os, "fork")
 
+    def _make(self) -> ProcessPoolExecutor:
+        kwargs: dict = {
+            "max_workers": self.workers,
+            "initializer": faults.mark_worker_process,
+        }
+        if hasattr(os, "fork"):
+            kwargs["mp_context"] = mp.get_context("fork")
+        self._executor = ProcessPoolExecutor(**kwargs)
+        return self._executor
+
     def install_state(self, corrector, reads) -> None:
         del corrector, reads  # read from the engine's module state at fork
-        from ..mapreduce.reliable import _PoolManager
-
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._pool = _PoolManager(self.workers)
+        self.shutdown()
+        self._make()
 
     def submit(self, fn: Callable, payload: tuple) -> tuple[Future, int]:
-        if self._pool is None:
-            self.install_state(None, None)
-        return self._pool.submit(fn, payload)
+        executor = self._executor or self._make()
+        return executor.submit(fn, payload), self.generation
 
     def recreate(self, generation: int) -> None:
-        if self._pool is not None:
-            self._pool.recreate(generation)
+        if generation == self.generation and self._executor is not None:
+            self.shutdown()
+            self.generation += 1
+            self._make()
 
     def harvest(self) -> dict:
         return {}
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
 
 
 BACKEND_NAMES = ("threads", "fork", "socket")
@@ -202,3 +214,16 @@ def create_backend(
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )
+
+
+def resolve_backend(backend, workers: int) -> tuple[Backend, bool]:
+    """Normalize an engine's ``backend`` argument to ``(instance, owned)``.
+
+    A string names a registry backend created — and therefore shut
+    down — by the engine; an instance is caller-owned and survives the
+    run (so a stream or a service can keep remote workers warm across
+    blocks).
+    """
+    if isinstance(backend, str):
+        return create_backend(backend, workers=workers), True
+    return backend, False

@@ -8,8 +8,8 @@ its owned shards plus the full routing table; correction chunks then
 stream over per-worker control sockets as length-prefixed pickles.
 
 Failure semantics reuse the reliable layer wholesale, because this
-class speaks :class:`~repro.mapreduce.reliable._PoolManager`'s
-dialect:
+class speaks the same :class:`~repro.distributed.backend.Backend`
+dialect as the local pools:
 
 - a worker that stops answering mid-chunk surfaces as
   ``BrokenProcessPool`` on that chunk's future → the recovery loop

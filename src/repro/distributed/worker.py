@@ -135,28 +135,16 @@ def run_chunk(
     attempt: int,
     router: ShardRouter | None = None,
 ) -> tuple[tuple[int, np.ndarray], dict]:
-    """Correct one shipped chunk; mirrors the engine's
-    ``_chunk_attempt`` contract (including the substitution-only shape
-    check and the fault-injection attempt gate)."""
-    from ..parallel.engine import _call_chunk
+    """Correct one shipped chunk through the engine's shared attempt
+    body (:func:`repro.parallel.engine.run_chunk_attempt`), then fold
+    in this worker's shard-router counters."""
+    from ..parallel.engine import run_chunk_attempt
 
-    faults.set_current_attempt(attempt)
-    try:
-        corrected, stats = _call_chunk(corrector, reads)
-    finally:
-        faults.set_current_attempt(0)
-    if corrected.codes.shape != reads.codes.shape:
-        raise RuntimeError(
-            "distributed correction requires substitution-only "
-            f"correctors (chunk shape changed {reads.codes.shape} -> "
-            f"{corrected.codes.shape})"
-        )
-    stats["chunks_corrected"] = 1
-    stats["reads_corrected"] = reads.n_reads
+    result, stats = run_chunk_attempt(corrector, reads, start, attempt)
     if router is not None:
         for key, delta in router.harvest().items():
             stats[key] = stats.get(key, 0) + delta
-    return (start, corrected.codes), stats
+    return result, stats
 
 
 def _serve(conn: socket.socket, worker_id: int, shard_server: ShardServer) -> int:

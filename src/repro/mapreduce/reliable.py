@@ -26,12 +26,10 @@ input *and* as ``skipped_records``).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .. import telemetry
 from . import faults
@@ -53,43 +51,8 @@ from .types import (
     SkipBudgetExceeded,
 )
 
-
-# -- pool management ----------------------------------------------------------
-class _PoolManager:
-    """A recreatable process pool with a generation token.
-
-    ``recreate(generation)`` is a no-op unless the caller's failing
-    future came from the *current* pool — so a burst of futures broken
-    by one crashed worker triggers exactly one rebuild.
-    """
-
-    def __init__(self, n_workers: int):
-        self.n_workers = n_workers
-        self.generation = 0
-        self._make()
-
-    def _make(self) -> None:
-        import multiprocessing as mp
-
-        kwargs: dict = {
-            "max_workers": self.n_workers,
-            "initializer": faults.mark_worker_process,
-        }
-        if hasattr(os, "fork"):
-            kwargs["mp_context"] = mp.get_context("fork")
-        self.executor = ProcessPoolExecutor(**kwargs)
-
-    def submit(self, fn: Callable, payload: tuple):
-        return self.executor.submit(fn, payload), self.generation
-
-    def recreate(self, generation: int) -> None:
-        if generation == self.generation:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.generation += 1
-            self._make()
-
-    def shutdown(self) -> None:
-        self.executor.shutdown(wait=False, cancel_futures=True)
+if TYPE_CHECKING:
+    from ..distributed.backend import Backend
 
 
 # -- worker entry points ------------------------------------------------------
@@ -119,7 +82,7 @@ def _run_item(
     idx: int,
     policy: RetryPolicy,
     counters: Counters,
-    pool: _PoolManager | None,
+    pool: Backend | None,
     phase: str,
     skip_fn: Callable,
     fut_gen: tuple | None = None,
@@ -183,7 +146,7 @@ def _execute_phase(
     items: list,
     policy: RetryPolicy,
     counters: Counters,
-    pool: _PoolManager | None,
+    pool: Backend | None,
     phase: str,
     skip_fn: Callable,
     on_item_done: Callable[[int], None] | None = None,
@@ -348,7 +311,7 @@ def run_task_reliable(
     spill_dir: str | None = None,
     chunk_size: int = 4096,
     policy: RetryPolicy | None = None,
-    backend=None,
+    backend="fork",
 ) -> list[KV]:
     """Execute one map-reduce job with retries, timeouts, and skip mode.
 
@@ -357,11 +320,10 @@ def run_task_reliable(
     order, output concatenated in stable partition order), plus the
     recovery behavior described in the module docstring.
 
-    ``backend`` (a registry name or :class:`repro.distributed.Backend`
-    instance) swaps the execution substrate under the identical
-    recovery loop; ``None`` keeps the legacy fork pool.  String-named
-    backends are created and shut down here; instances are
-    caller-owned.
+    ``backend`` (a registry name — ``"fork"`` by default — or a
+    :class:`repro.distributed.Backend` instance) is the execution
+    substrate under the recovery loop.  String-named backends are
+    created and shut down here; instances are caller-owned.
     """
     inputs = list(inputs) if not isinstance(inputs, list) else inputs
     if counters is None:
@@ -372,17 +334,17 @@ def run_task_reliable(
         policy = RetryPolicy()
 
     chunks = [inputs[i : i + chunk_size] for i in range(0, len(inputs), chunk_size)]
-    from ..parallel.engine import _resolve_backend
+    from ..distributed.backend import resolve_backend
 
-    backend_obj, owned_backend = _resolve_backend(backend, n_workers)
-    if backend_obj is not None:
-        pool = (
-            backend_obj
-            if backend_obj.want_pool(n_workers, len(chunks))
-            else None
-        )
-    else:
-        pool = _PoolManager(n_workers) if n_workers > 1 else None
+    backend_obj, owned_backend = resolve_backend(backend, n_workers)
+    # One pool serves both phases, so it is wanted when *either* has
+    # enough items: a one-chunk map still needs it for straggler
+    # re-execution across the reduce partitions.
+    pool = (
+        backend_obj
+        if backend_obj.want_pool(n_workers, max(len(chunks), n_partitions))
+        else None
+    )
     try:
         with telemetry.span(
             "mapreduce.map", task=task.name, chunks=len(chunks)
@@ -413,12 +375,9 @@ def run_task_reliable(
                 _skip_reduce_partition, on_item_done=on_done,
             )
     finally:
-        if pool is not None and pool is not backend_obj:
-            pool.shutdown()
-        if backend_obj is not None:
-            counters.merge(backend_obj.harvest())
-            if owned_backend:
-                backend_obj.shutdown()
+        counters.merge(backend_obj.harvest())
+        if owned_backend:
+            backend_obj.shutdown()
     out: list[KV] = []
     for pairs in reduce_outs:
         out.extend(pairs)

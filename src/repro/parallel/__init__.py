@@ -1,16 +1,12 @@
 """Parallel batch-correction engine (shared-spectrum workers).
 
-See :mod:`repro.parallel.engine` for the execution model and
-:mod:`repro.parallel.shared` for the shared-memory spectrum backing.
+See :mod:`repro.parallel.engine` for the execution model.
 """
 
 from .engine import ParallelRunReport, correct_in_parallel, correct_stream
-from .shared import HAVE_SHARED_MEMORY, SharedSpectrumHandle
 
 __all__ = [
     "ParallelRunReport",
     "correct_in_parallel",
     "correct_stream",
-    "SharedSpectrumHandle",
-    "HAVE_SHARED_MEMORY",
 ]

@@ -2,16 +2,14 @@
 
 Reptile and REDEEM correct each read independently against read-only
 phase-1 structures (spectrum, tiles, EM attempt estimates) — an
-embarrassingly parallel workload.  This engine forks ``workers``
-processes over contiguous read chunks:
+embarrassingly parallel workload.  This engine runs contiguous read
+chunks on a :class:`repro.distributed.Backend` (``"fork"`` by default):
 
 - the fitted corrector and the input :class:`ReadSet` are installed in
   a module global *before* the pool is created, so children receive
   them through fork's copy-on-write pages — the spectrum is
   materialized once, never pickled per task (RECKONER's and BFC's
-  shared-index architecture).  ``spectrum_backing="shared"`` moves the
-  spectrum arrays into explicit ``multiprocessing.shared_memory``
-  segments for the duration of the run;
+  shared-index architecture);
 - each task submission carries only ``(chunk_start, chunk_stop)``;
   each result returns the corrected code block plus a per-chunk
   counter dict, merged into one :class:`Counters` run report;
@@ -23,9 +21,9 @@ processes over contiguous read chunks:
   model.  A chunk that keeps failing degrades to per-read correction;
   a read that *still* fails is passed through uncorrected and counted
   as ``skipped_reads``;
-- ``workers=1`` (or a platform without fork, or fewer chunks than
-  would benefit) runs the same chunk loop serially in-process — same
-  code path, same counters, no pool;
+- when the backend declines a pool (``workers=1``, a platform without
+  fork, or fewer chunks than would benefit) the same chunk loop runs
+  serially in-process — same code path, same counters, no pool;
 - SIGTERM/SIGINT during the chunk loop are handled gracefully: the
   chunk in flight is drained, a ``shutdown.requested`` metric is
   recorded, and ``KeyboardInterrupt`` is raised at the next chunk
@@ -40,7 +38,6 @@ with per-read-independent semantics can be driven by this engine;
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -50,8 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
+from ..distributed.backend import resolve_backend
 from ..io.readset import ReadSet
-from ..mapreduce.reliable import _account_skip, _execute_phase, _PoolManager
+from ..mapreduce.reliable import _account_skip, _execute_phase
 from ..mapreduce.types import Counters, RetryPolicy
 
 #: Corrector + full input ReadSet, installed before the pool forks so
@@ -126,21 +124,21 @@ def _call_chunk(corrector, reads: ReadSet) -> tuple[ReadSet, dict]:
     return corrected, {k: int(v) for k, v in stats.items()}
 
 
-def _chunk_attempt(payload: tuple) -> tuple[tuple[int, np.ndarray], dict]:
-    """Worker entry point: correct reads ``[start, stop)`` of the
-    inherited ReadSet against the inherited corrector.
+def run_chunk_attempt(
+    corrector, sub: ReadSet, start: int, attempt: int
+) -> tuple[tuple[int, np.ndarray], dict]:
+    """One attempt at the chunk ``sub`` (reads ``start…`` of the run).
 
-    The attempt number is published through
-    :func:`repro.mapreduce.faults.set_current_attempt`, exactly as the
-    MapReduce attempts do, so the deterministic fault-injection harness
-    (attempt-gated transient faults) drives this engine too.
+    The body every worker shares — forked/threaded workers reach it
+    through :func:`_chunk_attempt`, socket workers through
+    :func:`repro.distributed.worker.run_chunk` — so the result contract
+    cannot drift between substrates.  The attempt number is published
+    through :func:`repro.mapreduce.faults.set_current_attempt`, exactly
+    as the MapReduce attempts do, so the deterministic fault-injection
+    harness (attempt-gated transient faults) drives this engine too.
     """
     from ..mapreduce import faults
 
-    _task, bounds, attempt = payload
-    start, stop = bounds
-    corrector, reads = _WORKER_STATE
-    sub = reads.subset(np.arange(start, stop))
     faults.set_current_attempt(attempt)
     try:
         corrected, stats = _call_chunk(corrector, sub)
@@ -152,8 +150,17 @@ def _chunk_attempt(payload: tuple) -> tuple[tuple[int, np.ndarray], dict]:
             f"(chunk shape changed {sub.codes.shape} -> {corrected.codes.shape})"
         )
     stats["chunks_corrected"] = 1
-    stats["reads_corrected"] = stop - start
+    stats["reads_corrected"] = sub.n_reads
     return (start, corrected.codes), stats
+
+
+def _chunk_attempt(payload: tuple) -> tuple[tuple[int, np.ndarray], dict]:
+    """Worker entry point: correct reads ``[start, stop)`` of the
+    inherited ReadSet against the inherited corrector."""
+    _task, (start, stop), attempt = payload
+    corrector, reads = _WORKER_STATE
+    sub = reads.subset(np.arange(start, stop))
+    return run_chunk_attempt(corrector, sub, start, attempt)
 
 
 def _skip_chunk(
@@ -199,8 +206,8 @@ class ParallelRunReport:
     the authoritative execution record is the ambient
     :mod:`repro.telemetry` session (span ``parallel.correct``, counters
     in the session registry, serialized by ``--report``).  The class
-    and its :meth:`summary` are kept byte-for-byte so existing
-    consumers (benchmarks, tests, scripts) continue to work unchanged.
+    and its :meth:`summary` are kept so existing consumers
+    (benchmarks, tests, scripts) continue to work.
     """
 
     reads: ReadSet
@@ -208,12 +215,9 @@ class ParallelRunReport:
     n_workers: int
     chunk_size: int
     n_chunks: int
-    #: ``"parallel"`` (forked pool) or ``"serial"`` (in-process fallback).
+    #: ``"parallel"`` (backend pool) or ``"serial"`` (in-process fallback).
     mode: str
     wall_seconds: float = 0.0
-    #: Bytes of spectrum data re-backed by shared memory (0 under
-    #: fork inheritance).
-    shared_bytes: int = 0
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
@@ -223,27 +227,9 @@ class ParallelRunReport:
             "chunk_size": self.chunk_size,
             "chunks": self.n_chunks,
             "wall_seconds": round(self.wall_seconds, 4),
-            "shared_bytes": self.shared_bytes,
         }
         out.update(self.counters.as_dict())
         return out
-
-
-def _resolve_backend(backend, workers: int):
-    """Normalize the ``backend`` argument to ``(instance | None, owned)``.
-
-    A string names a registry backend created — and therefore shut
-    down — by the engine; an instance is caller-owned and survives the
-    run (so a stream or a service can keep remote workers warm across
-    blocks).  ``None`` keeps the legacy fork-pool path untouched.
-    """
-    if backend is None:
-        return None, False
-    if isinstance(backend, str):
-        from ..distributed.backend import create_backend
-
-        return create_backend(backend, workers=workers), True
-    return backend, False
 
 
 def _chunk_bounds(n_reads: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -262,9 +248,8 @@ def correct_stream(
     chunk_size: int = 2048,
     policy: RetryPolicy | None = None,
     counters: Counters | None = None,
-    spectrum_backing: str = "inherit",
     pool_hit: bool | None = None,
-    backend=None,
+    backend="fork",
 ):
     """Drive the chunk loop over a *stream* of ReadSet blocks.
 
@@ -278,7 +263,7 @@ def correct_stream(
     """
     if counters is None:
         counters = telemetry.active_counters() or Counters()
-    backend_obj, owned = _resolve_backend(backend, workers)
+    backend_obj, owned = resolve_backend(backend, workers)
     try:
         for block in blocks:
             report = correct_in_parallel(
@@ -288,7 +273,6 @@ def correct_stream(
                 chunk_size=chunk_size,
                 policy=policy,
                 counters=counters,
-                spectrum_backing=spectrum_backing,
                 pool_hit=pool_hit,
                 backend=backend_obj,
             )
@@ -296,7 +280,7 @@ def correct_stream(
             telemetry.count("stream_reads", block.n_reads)
             yield block, report
     finally:
-        if owned and backend_obj is not None:
+        if owned:
             backend_obj.shutdown()
 
 
@@ -307,25 +291,22 @@ def correct_in_parallel(
     chunk_size: int = 2048,
     policy: RetryPolicy | None = None,
     counters: Counters | None = None,
-    spectrum_backing: str = "inherit",
     pool_hit: bool | None = None,
-    backend=None,
+    backend="fork",
 ) -> ParallelRunReport:
     """Correct ``reads`` in ``chunk_size`` batches across ``workers``
-    processes; bitwise identical to the serial path.
+    workers; bitwise identical to the serial path.
 
-    ``backend`` selects the execution substrate: ``None`` keeps the
-    legacy fork pool; a registry name (``"threads"`` / ``"fork"`` /
-    ``"socket"``) or a :class:`repro.distributed.Backend` instance
-    routes the same chunk loop — same fault model, same bitwise
-    guarantee — through that substrate.  Instances are caller-owned
-    (not shut down here), so socket workers stay warm across calls.
-
-    ``spectrum_backing="shared"`` re-backs ``corrector.spectrum``'s
-    arrays with ``multiprocessing.shared_memory`` for the duration of
-    the run (restored afterwards); ``"inherit"`` relies on fork
-    copy-on-write.  Platforms without fork — and ``workers=1`` — take
-    the serial fallback through the identical chunk loop.
+    ``backend`` is the execution substrate: a registry name
+    (``"fork"`` — the default — ``"threads"`` or ``"socket"``) or a
+    :class:`repro.distributed.Backend` instance.  Every substrate runs
+    the same chunk loop — same fault model, same bitwise guarantee.
+    Named backends are created and shut down here; instances are
+    caller-owned (not shut down here), so socket workers stay warm
+    across calls.  When the backend declines a pool
+    (:meth:`~repro.distributed.Backend.want_pool`: ``workers=1``, a
+    single chunk, a platform without fork) the identical chunk loop
+    runs serially in-process.
 
     ``pool_hit`` records spectrum provenance when the corrector came
     from the service's :class:`~repro.service.pool.SpectrumPool`
@@ -334,32 +315,14 @@ def correct_in_parallel(
     pooled corrector is handed to forked workers copy-on-write exactly
     like a freshly fitted one, so no execution path changes.
     """
-    if spectrum_backing not in ("inherit", "shared"):
-        raise ValueError(
-            f"spectrum_backing must be 'inherit' or 'shared', "
-            f"got {spectrum_backing!r}"
-        )
     if counters is None:
         counters = telemetry.active_counters() or Counters()
     if policy is None:
         policy = RetryPolicy(max_retries=1)
     bounds = _chunk_bounds(reads.n_reads, chunk_size)
-    can_fork = hasattr(os, "fork")
-    backend_obj, owned_backend = _resolve_backend(backend, workers)
-    if backend_obj is not None:
-        use_pool = backend_obj.want_pool(workers, len(bounds))
-    else:
-        use_pool = workers > 1 and can_fork and len(bounds) > 1
+    backend_obj, owned_backend = resolve_backend(backend, workers)
+    use_pool = backend_obj.want_pool(workers, len(bounds))
     task = _BatchTask(name=f"correct[{type(corrector).__name__}]")
-
-    shared_bytes = 0
-    shared_handle = None
-    if spectrum_backing == "shared" and getattr(corrector, "spectrum", None) is not None:
-        from .shared import HAVE_SHARED_MEMORY, SharedSpectrumHandle
-
-        if HAVE_SHARED_MEMORY:
-            shared_handle = SharedSpectrumHandle(corrector.spectrum)
-            shared_bytes = shared_handle.nbytes
 
     global _WORKER_STATE  # repro: noqa[REP301] -- install-before-fork pattern: set in the parent before the pool exists, restored in the finally; children only read
     prev_state = _WORKER_STATE
@@ -367,17 +330,13 @@ def correct_in_parallel(
     # the parent needs it for the serial path, straggler re-execution,
     # and skip mode.
     _WORKER_STATE = (corrector, reads)
-    pool = None
     t0 = time.perf_counter()
     with telemetry.span(
         "parallel.correct",
         workers=workers if use_pool else 1,
         chunks=len(bounds),
         mode="parallel" if use_pool else "serial",
-        backend=(
-            backend_obj.name if (backend_obj is not None and use_pool)
-            else ("fork" if use_pool else "serial")
-        ),
+        backend=backend_obj.name if use_pool else "serial",
         corrector=type(corrector).__name__,
         spectrum_provenance=(
             "fitted" if pool_hit is None
@@ -386,29 +345,21 @@ def correct_in_parallel(
     ):
         try:
             if use_pool:
-                if backend_obj is not None:
-                    # State install happens *after* _WORKER_STATE is
-                    # set: fork-based backends snapshot it at pool
-                    # creation, the socket backend ships shards.
-                    backend_obj.install_state(corrector, reads)
-                    pool = backend_obj
-                else:
-                    pool = _PoolManager(workers)
+                # State install happens *after* _WORKER_STATE is set:
+                # fork-based backends snapshot it at pool creation, the
+                # socket backend ships shards.
+                backend_obj.install_state(corrector, reads)
             with _graceful_signals(counters) as stop_flag:
                 results = _execute_phase(
-                    _chunk_attempt, task, bounds, policy, counters, pool,
+                    _chunk_attempt, task, bounds, policy, counters,
+                    backend_obj if use_pool else None,
                     "correct", _skip_chunk, should_stop=stop_flag,
                 )
         finally:
-            if pool is not None and pool is not backend_obj:
-                pool.shutdown()
-            if backend_obj is not None:
-                counters.merge(backend_obj.harvest())
-                if owned_backend:
-                    backend_obj.shutdown()
+            counters.merge(backend_obj.harvest())
+            if owned_backend:
+                backend_obj.shutdown()
             _WORKER_STATE = prev_state
-            if shared_handle is not None:
-                shared_handle.close()
         out = reads.copy()
         for (start, stop), (res_start, codes) in zip(bounds, results):
             if res_start != start or codes.shape != (stop - start, out.max_length):
@@ -419,7 +370,6 @@ def correct_in_parallel(
             out.codes[start:stop] = codes
     wall = time.perf_counter() - t0
     counters.incr("bases_changed_total", int((out.codes != reads.codes).sum()))
-    telemetry.gauge("parallel_shared_bytes", shared_bytes)
     telemetry.timing("parallel_correct_seconds", wall)
     return ParallelRunReport(
         reads=out,
@@ -429,5 +379,4 @@ def correct_in_parallel(
         n_chunks=len(bounds),
         mode="parallel" if use_pool else "serial",
         wall_seconds=wall,
-        shared_bytes=shared_bytes,
     )

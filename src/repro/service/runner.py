@@ -329,90 +329,6 @@ def _prune_stale_work_files(workdir: Path, claim_seq: int) -> None:
                 path.unlink(missing_ok=True)
 
 
-def _fit_stream_corrector(
-    spec: JobSpec,
-    workdir: Path,
-    tick: Callable[[], None] | None,
-    chunks: Callable,
-) -> tuple[object, dict]:
-    """Passes A and B of a stream job: statistics, then phase-1 fit.
-
-    Returns ``(corrector, meta)`` in the shape
-    :meth:`~repro.service.pool.SpectrumPool.get_or_build` expects, so
-    the whole two-pass scan is skipped on a warm-pool hit.
-    """
-    import numpy as np
-
-    from ..core.reptile import ReptileCorrector
-    from ..core.reptile.params import (
-        add_histograms,
-        quality_histogram,
-        select_parameters_streaming,
-    )
-    from ..kmer.streaming import (
-        SpectrumAccumulator,
-        TileAccumulator,
-        build_from_chunks,
-    )
-
-    # Pass A — streamed parameter statistics.
-    qhist = np.zeros(0, dtype=np.int64)
-    n_reads = 0
-    with telemetry.span("stream.scan", path=spec.input):
-        for chunk in chunks():
-            qhist = add_histograms(qhist, quality_histogram(chunk))
-            n_reads += chunk.n_reads
-    telemetry.gauge("reads_input", n_reads)
-    _tick(tick)
-
-    # Pass B — phase-1 spectrum/tiles, same select-then-replace
-    # semantics as the CLI streaming path.
-    sel_params = select_parameters_streaming(
-        qhist, np.zeros(0, dtype=np.int64),
-        genome_length_estimate=spec.genome_length,
-    )
-    k_final = spec.k if spec.k is not None else sel_params.k
-    with telemetry.span("fit", method=spec.method, k=k_final):
-        spec_acc = SpectrumAccumulator(
-            k_final, max_memory_bytes=spec.max_memory, tmp_dir=workdir
-        )
-        accs = [spec_acc]
-        sel_tiles_acc = TileAccumulator(
-            sel_params.k,
-            overlap=sel_params.overlap,
-            quality_cutoff=sel_params.qc,
-            max_memory_bytes=spec.max_memory,
-            tmp_dir=workdir,
-        )
-        accs.append(sel_tiles_acc)
-        final_tiles_acc = sel_tiles_acc
-        if k_final != sel_params.k:
-            final_tiles_acc = TileAccumulator(
-                k_final,
-                overlap=sel_params.overlap,
-                quality_cutoff=sel_params.qc,
-                max_memory_bytes=spec.max_memory,
-                tmp_dir=workdir,
-            )
-            accs.append(final_tiles_acc)
-        with telemetry.span("stream.phase1"):
-            results = build_from_chunks(chunks(), accs)
-        spectrum = results[0]
-        sel_tiles = results[1]
-        tiles = results[accs.index(final_tiles_acc)]
-        params = select_parameters_streaming(
-            qhist, sel_tiles.og, genome_length_estimate=spec.genome_length
-        )
-        if spec.k is not None:
-            from dataclasses import replace
-
-            params = replace(params, k=spec.k)
-        corrector = ReptileCorrector(
-            params=params, spectrum=spectrum, tiles=tiles
-        )
-    return corrector, {"n_reads": int(n_reads)}
-
-
 def _run_stream_job(
     spec: JobSpec,
     workdir: Path,
@@ -422,14 +338,16 @@ def _run_stream_job(
 ) -> dict:
     """Out-of-core correction with block-granular crash recovery.
 
-    Mirrors ``repro correct --stream`` (pass A statistics, pass B
-    phase-1 structures, pass C chunked correction) but stages output
-    through this claim's ``partial.<seq>.fastq`` with an atomic
-    checkpoint after every durable block, then publishes with one
-    rename.  ``claim_seq`` fences the work files: see the module
-    docstring for the zombie story.  With a warm ``pool``, a repeat
-    job skips passes A and B outright.
+    Same streamed phase 1 as ``repro correct --stream``
+    (:meth:`ReptileCorrector.fit_streaming`: pass A statistics, pass B
+    phase-1 structures), then pass C chunked correction staged through
+    this claim's ``partial.<seq>.fastq`` with an atomic checkpoint
+    after every durable block, published with one rename.
+    ``claim_seq`` fences the work files: see the module docstring for
+    the zombie story.  With a warm ``pool``, a repeat job skips passes
+    A and B outright.
     """
+    from ..core.reptile import ReptileCorrector
     from ..parallel import correct_stream
 
     block_reads = spec.chunk_size * spec.workers
@@ -446,18 +364,25 @@ def _run_stream_job(
         )
 
     def fit():
-        return _fit_stream_corrector(spec, workdir, tick, chunks)
+        # (corrector, meta): the shape SpectrumPool.get_or_build caches.
+        return ReptileCorrector.fit_streaming(
+            chunks,
+            k=spec.k,
+            genome_length_estimate=spec.genome_length,
+            max_memory_bytes=spec.max_memory,
+            tmp_dir=workdir,
+            between_passes=tick,
+        )
 
     hit: bool | None = None
     if pool is not None:
         entry, hit = pool.get_or_build(pool.key_for(spec), fit)
-        corrector = entry.corrector
-        if hit:
-            # The scan was skipped; replay its one load-bearing gauge
-            # from the entry's build-time metadata.
-            telemetry.gauge("reads_input", entry.meta["n_reads"])
+        corrector, meta = entry.corrector, entry.meta
     else:
-        corrector, _meta = fit()
+        corrector, meta = fit()
+    # On a pool hit the scan was skipped; its one load-bearing gauge
+    # is replayed from the entry's build-time metadata.
+    telemetry.gauge("reads_input", meta["n_reads"])
     _pool_marker(hit)
     hit_fault_point("service.fitted")
     _tick(tick)

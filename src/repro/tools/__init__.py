@@ -11,7 +11,5 @@ console script)::
 
 Every tool shares the telemetry flag group from
 :mod:`repro.tools.common` (``--report`` / ``--progress`` /
-``--profile``).  The legacy per-tool module entry points
-(``python -m repro.tools.<name>``) still work and print a deprecation
-note.
+``--profile``).
 """

@@ -4,8 +4,7 @@ FASTQ in, contig FASTA out, stats to stdout.  Pairs with
 ``repro correct`` to demonstrate the correction→assembly improvement
 the thesis is motivated by.
 
-Run as ``python -m repro assemble …``; the legacy
-``python -m repro.tools.assemble`` module entry point still works.
+Run as ``python -m repro assemble …``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from pathlib import Path
 from .. import telemetry
 from .common import (
     add_telemetry_flags,
-    deprecation_note,
     positive_int,
     telemetry_session,
 )
@@ -76,9 +74,3 @@ def _run(args: argparse.Namespace, tel) -> int:
     )
     return 0
 
-
-if __name__ == "__main__":
-    deprecation_note(
-        "python -m repro.tools.assemble", "python -m repro assemble"
-    )
-    raise SystemExit(main())

@@ -3,8 +3,7 @@
 Input FASTA or FASTQ; output a TSV of ``cluster_id<TAB>read_name`` per
 threshold (one file per threshold), plus a stage-timing summary.
 
-Run as ``python -m repro cluster …``; the legacy
-``python -m repro.tools.cluster`` module entry point still works.
+Run as ``python -m repro cluster …``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from ..io.atomic import atomic_writer
 from .common import (
     add_reliability_flags,
     add_telemetry_flags,
-    deprecation_note,
     policy_from_args,
     positive_int,
     telemetry_session,
@@ -146,7 +144,3 @@ def _run(args: argparse.Namespace, tel) -> int:
         print(f"  {stage:24s} {secs:8.2f}s")
     return 0
 
-
-if __name__ == "__main__":
-    deprecation_note("python -m repro.tools.cluster", "python -m repro cluster")
-    raise SystemExit(main())

@@ -5,8 +5,8 @@ All four tools compose their parsers from the same flag groups:
 - **reliability** — re-exported from
   :func:`repro.mapreduce.reliable.add_reliability_flags`;
 - **parallel execution** — :func:`add_parallel_flags`
-  (``--workers`` / ``--chunk-size`` / ``--spectrum-backing``, with
-  argparse-level ``>= 1`` validation);
+  (``--workers`` / ``--chunk-size`` / ``--backend`` / ``--shards``,
+  with argparse-level ``>= 1`` validation);
 - **telemetry** — :func:`add_telemetry_flags`
   (``--report`` / ``--progress`` / ``--profile`` /
   ``--heartbeat-interval``) plus :func:`telemetry_session`, the
@@ -18,7 +18,6 @@ All four tools compose their parsers from the same flag groups:
 from __future__ import annotations
 
 import argparse
-import sys
 from contextlib import contextmanager
 
 from .. import telemetry
@@ -33,7 +32,6 @@ __all__ = [
     "add_reliability_flags",
     "policy_from_args",
     "telemetry_session",
-    "deprecation_note",
 ]
 
 
@@ -91,16 +89,10 @@ def add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="reads per correction task",
     )
     g.add_argument(
-        "--spectrum-backing", choices=["inherit", "shared"],
-        default="inherit",
-        help="how workers see the k-spectrum: fork copy-on-write "
-             "pages (inherit) or explicit shared-memory segments",
-    )
-    g.add_argument(
-        "--backend", choices=["threads", "fork", "socket"], default=None,
-        help="execution substrate for the chunk loop (default: the "
-             "legacy fork pool); 'socket' runs separate worker "
-             "processes owning spectrum shards",
+        "--backend", choices=["threads", "fork", "socket"], default="fork",
+        help="execution substrate for the chunk loop (default: fork); "
+             "'socket' runs separate worker processes owning spectrum "
+             "shards",
     )
     g.add_argument(
         "--shards", type=positive_int, default=None,
@@ -109,18 +101,14 @@ def add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def backend_from_args(args):
-    """Build the distributed backend selected by ``--backend``.
+def backend_from_args(parser: argparse.ArgumentParser, args):
+    """Build the backend selected by ``--backend`` / ``--shards``.
 
-    Returns None when no backend flag was given (legacy path).  The
+    A flag conflict is a usage error (``parser.error``, exit 2).  The
     returned instance is caller-owned: shut it down when done.
     """
-    if getattr(args, "backend", None) is None:
-        if getattr(args, "shards", None) is not None:
-            raise SystemExit("--shards requires --backend socket")
-        return None
     if args.shards is not None and args.backend != "socket":
-        raise SystemExit("--shards requires --backend socket")
+        parser.error("--shards requires --backend socket")
     from ..distributed.backend import create_backend
 
     return create_backend(
@@ -175,12 +163,3 @@ def telemetry_session(args: argparse.Namespace, tool: str,
         if tel is not None and report_path:
             path = tel.report(argv=argv).write(report_path)
             print(f"wrote run report to {path}")
-
-
-def deprecation_note(old: str, new: str) -> None:
-    """One-line stderr nudge from a legacy entry point to the new CLI."""
-    print(
-        f"note: `{old}` is deprecated; use `{new}` "
-        "(same flags, one unified CLI)",
-        file=sys.stderr,
-    )

@@ -8,8 +8,7 @@ parallel engine's chunk loop (serial in-process at ``--workers 1``),
 so serial and parallel runs report identical counters and produce
 bitwise-identical output.
 
-Run as ``python -m repro correct …``; the legacy
-``python -m repro.tools.correct`` module entry point still works.
+Run as ``python -m repro correct …``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .common import (
     add_parallel_flags,
     add_telemetry_flags,
     backend_from_args,
-    deprecation_note,
     memory_size,
     positive_int,
     telemetry_session,
@@ -126,11 +124,6 @@ def hotpath_from_args(args: argparse.Namespace):
     )
 
 
-def _build_corrector(method: str, reads, k, genome_length):
-    """Deprecated shim — use :func:`repro.core.api.build_corrector`."""
-    return build_corrector(method, reads, k=k, genome_length=genome_length)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -147,10 +140,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--stream does not support --truth scoring")
         if args.checkpoint_dir:
             parser.error("--stream does not support --checkpoint-dir")
-    with telemetry_session(args, tool="correct", argv=argv) as tel:
-        if args.stream:
-            return _run_stream(args, tel)
-        return _run(args, tel)
+    backend = backend_from_args(parser, args)
+    try:
+        with telemetry_session(args, tool="correct", argv=argv) as tel:
+            if args.stream:
+                return _run_stream(args, tel, backend)
+            return _run(args, tel, backend)
+    finally:
+        backend.shutdown()
 
 
 def _peak_rss_bytes() -> int:
@@ -164,31 +161,19 @@ def _peak_rss_bytes() -> int:
     return int(kb) * 1024
 
 
-def _run_stream(args: argparse.Namespace, tel) -> int:
+def _run_stream(args: argparse.Namespace, tel, backend) -> int:
     """Out-of-core correction: three streamed passes over the FASTQ.
 
-    Pass A accumulates the quality histogram (parameter selection),
-    pass B builds the spectrum and tile table through the balanced /
-    disk-spill accumulators, pass C corrects chunk by chunk through
+    Passes A and B are :meth:`ReptileCorrector.fit_streaming` (quality
+    histogram, then spectrum and tile table through the balanced /
+    disk-spill accumulators); pass C corrects chunk by chunk through
     the parallel engine's chunk loop and writes corrected FASTQ
     incrementally.  At no point is the read set resident; the output
     is bitwise identical to the in-memory path.
     """
-    import numpy as np
-
     from ..core.reptile import ReptileCorrector
-    from ..core.reptile.params import (
-        add_histograms,
-        quality_histogram,
-        select_parameters_streaming,
-    )
     from ..io.atomic import atomic_writer
     from ..io.fastq import read_fastq_chunks, write_fastq
-    from ..kmer.streaming import (
-        SpectrumAccumulator,
-        TileAccumulator,
-        build_from_chunks,
-    )
     from ..parallel import correct_stream
 
     block_reads = args.chunk_size * args.workers
@@ -201,89 +186,23 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
             error_counts=error_counts,
         )
 
-    # Pass A — streamed parameter statistics.
-    qhist = np.zeros(0, dtype=np.int64)
-    n_reads = 0
-    with telemetry.span("stream.scan", path=str(args.input)):
-        for chunk in chunks():
-            qhist = add_histograms(qhist, quality_histogram(chunk))
-            n_reads += chunk.n_reads
-    print(f"streaming {n_reads} reads from {args.input} "
-          f"(blocks of {block_reads})")
-    tel.registry.gauge("reads_input", n_reads)
-
-    # Pass B — phase-1 structures in one traversal.  The selection
-    # tile table is built at the data-driven k; an explicit --k only
-    # overrides the k of the final structures (mirroring the
-    # in-memory select-then-replace semantics exactly).
-    sel_params = select_parameters_streaming(
-        qhist,
-        np.zeros(0, dtype=np.int64),
+    corrector, meta = ReptileCorrector.fit_streaming(
+        chunks,
+        k=args.k,
         genome_length_estimate=args.genome_length,
+        max_memory_bytes=args.max_memory,
+        tmp_dir=args.tmp_dir,
+        hotpath=hotpath_from_args(args),
     )
-    k_final = args.k if args.k is not None else sel_params.k
-    hotpath = hotpath_from_args(args)
-    # The final-structure accumulators build the Bloom prefilters as
-    # part of the same accumulation pass (the selection-only table
-    # never serves lookups and needs none).
-    prefilter_fp = (
-        hotpath.prefilter_fp_rate if hotpath.prefilter else None
-    )
-    with telemetry.span("fit", method=args.method, k=k_final):
-        spec_acc = SpectrumAccumulator(
-            k_final,
-            max_memory_bytes=args.max_memory,
-            tmp_dir=args.tmp_dir,
-            prefilter_fp_rate=prefilter_fp,
-        )
-        accs = [spec_acc]
-        sel_tiles_acc = TileAccumulator(
-            sel_params.k,
-            overlap=sel_params.overlap,
-            quality_cutoff=sel_params.qc,
-            max_memory_bytes=args.max_memory,
-            tmp_dir=args.tmp_dir,
-            prefilter_fp_rate=(
-                prefilter_fp if k_final == sel_params.k else None
-            ),
-        )
-        accs.append(sel_tiles_acc)
-        final_tiles_acc = sel_tiles_acc
-        if k_final != sel_params.k:
-            final_tiles_acc = TileAccumulator(
-                k_final,
-                overlap=sel_params.overlap,
-                quality_cutoff=sel_params.qc,
-                max_memory_bytes=args.max_memory,
-                tmp_dir=args.tmp_dir,
-                prefilter_fp_rate=prefilter_fp,
-            )
-            accs.append(final_tiles_acc)
-        with telemetry.span("stream.phase1"):
-            results = build_from_chunks(chunks(), accs)
-        spectrum = results[0]
-        sel_tiles = results[1]
-        tiles = results[accs.index(final_tiles_acc)]
-        params = select_parameters_streaming(
-            qhist,
-            sel_tiles.og,
-            genome_length_estimate=args.genome_length,
-        )
-        if args.k is not None:
-            from dataclasses import replace
-
-            params = replace(params, k=args.k)
-        corrector = ReptileCorrector(
-            params=params, spectrum=spectrum, tiles=tiles, hotpath=hotpath
-        )
-    spill = sum(acc.spill_bytes for acc in accs)
-    tel.registry.gauge("spill_bytes", spill)
-    tel.registry.gauge(
-        "counting_peak_bytes", max(acc.peak_bytes for acc in accs)
-    )
+    print(f"streaming {meta['n_reads']} reads from {args.input} "
+          f"(blocks of {block_reads})")
+    tel.registry.gauge("reads_input", meta["n_reads"])
+    tel.registry.gauge("spill_bytes", meta["spill_bytes"])
+    tel.registry.gauge("counting_peak_bytes", meta["counting_peak_bytes"])
     print(
-        f"phase 1: {spectrum.n_kmers} k-mers (k={params.k}), "
-        f"{tiles.n_tiles} tiles, spilled {spill} bytes"
+        f"phase 1: {corrector.spectrum.n_kmers} k-mers "
+        f"(k={corrector.params.k}), {corrector.tiles.n_tiles} tiles, "
+        f"spilled {meta['spill_bytes']} bytes"
     )
 
     # Pass C — chunked correction, incrementally written.
@@ -294,27 +213,19 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
     # The incremental output is staged through the atomic writer: the
     # final path appears only once every block has been written, so a
     # mid-run kill never leaves a truncated FASTQ behind.
-    backend = backend_from_args(args)
-    try:
-        with telemetry.span("correct", method=args.method, stream=True):
-            with atomic_writer(args.output, "wt") as out_handle:
-                for block, report in correct_stream(
-                    corrector,
-                    chunks(error_counts),
-                    workers=args.workers,
-                    chunk_size=args.chunk_size,
-                    policy=policy,
-                    spectrum_backing=args.spectrum_backing,
-                    backend=backend,
-                ):
-                    n_changed += int(
-                        (report.reads.codes != block.codes).sum()
-                    )
-                    n_out += block.n_reads
-                    write_fastq(report.reads, out_handle)
-    finally:
-        if backend is not None:
-            backend.shutdown()
+    with telemetry.span("correct", method=args.method, stream=True):
+        with atomic_writer(args.output, "wt") as out_handle:
+            for block, report in correct_stream(
+                corrector,
+                chunks(error_counts),
+                workers=args.workers,
+                chunk_size=args.chunk_size,
+                policy=policy,
+                backend=backend,
+            ):
+                n_changed += int((report.reads.codes != block.codes).sum())
+                n_out += block.n_reads
+                write_fastq(report.reads, out_handle)
     if args.on_error == "skip":
         tel.registry.merge(error_counts)
         skipped = error_counts.get("skipped_records", 0)
@@ -333,7 +244,7 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
     return 0
 
 
-def _run(args: argparse.Namespace, tel) -> int:
+def _run(args: argparse.Namespace, tel, backend) -> int:
     import hashlib
 
     from ..io.fastq import read_fastq, write_fastq
@@ -359,7 +270,6 @@ def _run(args: argparse.Namespace, tel) -> int:
             )
 
     policy = policy_from_args(args)
-    backend = backend_from_args(args)
 
     def _correct():
         with telemetry.span("fit", method=args.method):
@@ -383,7 +293,6 @@ def _run(args: argparse.Namespace, tel) -> int:
                     workers=args.workers,
                     chunk_size=args.chunk_size,
                     policy=policy,
-                    spectrum_backing=args.spectrum_backing,
                     backend=backend,
                 )
             s = report.summary()
@@ -410,25 +319,21 @@ def _run(args: argparse.Namespace, tel) -> int:
         h.update(repr((args.method, args.k, args.genome_length)).encode())
         fingerprint = h.hexdigest()
     cached = store.load("corrected", 0, fingerprint) if store else None
-    try:
-        if cached is not None:
-            corrected = cached[0]
-            telemetry.count("checkpoint_resumes")
-            print("resumed corrected reads from checkpoint")
+    if cached is not None:
+        corrected = cached[0]
+        telemetry.count("checkpoint_resumes")
+        print("resumed corrected reads from checkpoint")
+    else:
+        if policy is not None:
+            corrected = call_with_retries(
+                _correct, policy, counters=tel.registry,
+                description=f"{args.method} correction",
+            )
         else:
-            if policy is not None:
-                corrected = call_with_retries(
-                    _correct, policy, counters=tel.registry,
-                    description=f"{args.method} correction",
-                )
-            else:
-                corrected = _correct()
-            if store is not None:
-                with telemetry.span("checkpoint_save"):
-                    store.save("corrected", 0, fingerprint, corrected)
-    finally:
-        if backend is not None:
-            backend.shutdown()
+            corrected = _correct()
+        if store is not None:
+            with telemetry.span("checkpoint_save"):
+                store.save("corrected", 0, fingerprint, corrected)
     n_changed = int((corrected.codes != reads.codes).sum())
     with telemetry.span("write_output", path=str(args.output)):
         write_fastq(corrected, args.output)
@@ -453,8 +358,3 @@ def _run(args: argparse.Namespace, tel) -> int:
             f"specificity={m.specificity:.5f} EBA={m.eba:.4f}"
         )
     return 0
-
-
-if __name__ == "__main__":
-    deprecation_note("python -m repro.tools.correct", "python -m repro correct")
-    raise SystemExit(main())

@@ -4,8 +4,7 @@ Produces a reference genome (FASTA), an Illumina-style read set
 (FASTQ), and a truth file (FASTQ of the error-free reads) so the
 correction tools can be scored end to end.
 
-Run as ``python -m repro simulate …``; the legacy
-``python -m repro.tools.simulate`` module entry point still works.
+Run as ``python -m repro simulate …``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from ..io.readset import ReadSet
 from ..simulate.errors import illumina_like_model
 from ..simulate.genome import repeat_spec, simulate_genome
 from ..simulate.illumina import simulate_reads
-from .common import add_telemetry_flags, deprecation_note, telemetry_session
+from .common import add_telemetry_flags, telemetry_session
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,9 +92,3 @@ def _run(args: argparse.Namespace, tel) -> int:
     )
     return 0
 
-
-if __name__ == "__main__":
-    deprecation_note(
-        "python -m repro.tools.simulate", "python -m repro simulate"
-    )
-    raise SystemExit(main())

@@ -97,13 +97,6 @@ def test_mixin_requires_correct():
     assert not isinstance(NoCorrect(), Corrector)
 
 
-def test_legacy_build_corrector_shim(tiny_reads):
-    from repro.tools.correct import _build_corrector
-
-    c = _build_corrector("sap", tiny_reads, 10, None)
-    assert supports_chunking(c)
-
-
 # -- unified CLI dispatch -----------------------------------------------------
 def test_repro_cli_usage_and_errors(capsys):
     from repro.__main__ import main
@@ -143,18 +136,24 @@ def test_repro_cli_dispatches_to_tool(tmp_path, capsys):
         ["--workers", "two"],
         ["--chunk-size", "0"],
         ["--chunk-size", "-1"],
+        ["--shards", "4"],
     ],
 )
 def test_correct_rejects_invalid_parallel_flags(tmp_path, capsys, flags):
-    """Satellite bugfix: --workers / --chunk-size are validated at the
-    argparse layer with a clear message, not deep in the engine."""
+    """Satellite bugfix: --workers / --chunk-size / --shards are
+    validated at the argparse layer with a clear message (exit 2 and
+    the usage line), not deep in the engine."""
     from repro.tools.correct import main
 
     with pytest.raises(SystemExit) as exc:
         main([str(tmp_path / "in.fastq"), str(tmp_path / "out.fastq"), *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "expected an integer" in err
+    assert "usage:" in err
+    assert (
+        "--shards requires --backend socket" if "--shards" in flags
+        else "expected an integer"
+    ) in err
 
 
 def test_cluster_rejects_invalid_workers(tmp_path, capsys):

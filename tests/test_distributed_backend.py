@@ -1,7 +1,7 @@
 """Differential tests for the pluggable distributed backend.
 
 The contract under test: routing the chunk loop through any backend —
-in-process threads, the legacy fork pool, or separate socket-connected
+in-process threads, the default fork pool, or separate socket-connected
 worker processes holding only spectrum *shards* — produces output
 **bitwise identical** to serial correction, including after a remote
 worker is killed mid-fleet and respawned.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 import socket
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,20 +247,35 @@ def test_local_backends_want_pool_rules():
         fork.shutdown()
 
 
-# -- engine differential: threads / fork vs serial ---------------------------
-@pytest.mark.parametrize("backend_name", ["threads", "fork"])
+def _backend_kwargs(backend_name):
+    """``None`` is the default spelling: no ``backend=`` at all."""
+    return {} if backend_name is None else {"backend": backend_name}
+
+
+#: The default spelling plus every local registry name.
+LOCAL_BACKENDS = [
+    pytest.param(None, id="default"),
+    "threads",
+    "fork",
+]
+
+
+# -- engine differential: default / threads / fork vs serial -----------------
+@pytest.mark.parametrize("backend_name", LOCAL_BACKENDS)
 def test_engine_local_backends_match_serial(reptile_case, backend_name):
     corrector, reads = reptile_case
     serial = correct_in_parallel(
         corrector, reads, workers=1, chunk_size=100
     )
     routed = correct_in_parallel(
-        corrector, reads, workers=2, chunk_size=100, backend=backend_name
+        corrector, reads, workers=2, chunk_size=100,
+        **_backend_kwargs(backend_name),
     )
     assert np.array_equal(serial.reads.codes, routed.reads.codes)
     assert np.array_equal(serial.reads.lengths, routed.reads.lengths)
     assert serial.reads.names == routed.reads.names
     assert routed.counters["reads_corrected"] == reads.n_reads
+    assert routed.mode == "parallel" and routed.n_workers == 2
 
 
 # -- mapreduce with a backend ------------------------------------------------
@@ -279,7 +295,7 @@ def _wc_inputs(n=30):
     return [(i, "alpha beta gamma alpha") for i in range(n)]
 
 
-@pytest.mark.parametrize("backend_name", ["threads", "fork"])
+@pytest.mark.parametrize("backend_name", LOCAL_BACKENDS)
 def test_mapreduce_local_backends_match_plain(backend_name):
     # n_partitions defaults to n_workers, which changes output *order*
     # (not content) — pin it so the comparison is exact.
@@ -289,7 +305,7 @@ def test_mapreduce_local_backends_match_plain(backend_name):
         _wc_inputs(),
         n_workers=2,
         n_partitions=3,
-        backend=backend_name,
+        **_backend_kwargs(backend_name),
     )
     assert routed == plain
 
@@ -418,57 +434,81 @@ def test_submit_completes_future_outside_router_lock(monkeypatch):
 
 
 # -- CLI differential: the acceptance-criteria run ---------------------------
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 @pytest.mark.slow
 def test_cli_backends_byte_identical(tmp_path):
-    """``repro correct`` output is byte-identical across --backend
-    threads, fork, and socket --shards 4 (the ISSUE acceptance bar)."""
+    """``repro correct`` on the golden corpus: {default, --backend fork,
+    threads, socket --shards 4} × {in-memory, --stream} all write the
+    committed golden bytes, and the default spelling's run report has
+    the same counters and span names as an explicit ``--backend fork``.
+    """
+    from repro.telemetry import RunReport
     from repro.tools.correct import main as correct_main
-    from repro.tools.simulate import main as simulate_main
 
-    data = tmp_path / "data"
-    assert simulate_main(
-        [str(data), "--genome-length", "2000", "--coverage", "8",
-         "--seed", "11"]
-    ) == 0
-    outputs = {}
-    runs = {
-        "baseline": [],
-        "threads": ["--backend", "threads", "--workers", "2"],
-        "fork": ["--backend", "fork", "--workers", "2"],
-        "socket": ["--backend", "socket", "--workers", "2",
-                   "--shards", "4"],
+    expected = (GOLDEN / "reptile_expected.fastq").read_bytes()
+    backends = {
+        "default": [],
+        "fork": ["--backend", "fork"],
+        "threads": ["--backend", "threads"],
+        "socket": ["--backend", "socket", "--shards", "4"],
     }
-    for name, extra in runs.items():
-        out = tmp_path / f"{name}.fastq"
-        rc = correct_main(
-            [
-                str(data / "reads.fastq"),
-                str(out),
-                "--method", "reptile",
-                "--genome-length", "2000",
-                "--chunk-size", "128",
-                *extra,
-            ]
-        )
-        assert rc == 0, name
-        outputs[name] = out.read_bytes()
-    for name in ("threads", "fork", "socket"):
-        assert outputs[name] == outputs["baseline"], name
+    modes = {"memory": [], "stream": ["--stream"]}
+    reports = {}
+    for mode, mode_flags in modes.items():
+        for name, backend_flags in backends.items():
+            out = tmp_path / f"{name}-{mode}.fastq"
+            report = tmp_path / f"{name}-{mode}.json"
+            rc = correct_main(
+                [
+                    str(GOLDEN / "reptile_reads.fastq"),
+                    str(out),
+                    "--workers", "2",
+                    "--chunk-size", "128",
+                    "--report", str(report),
+                    *backend_flags,
+                    *mode_flags,
+                ]
+            )
+            assert rc == 0, (name, mode)
+            assert out.read_bytes() == expected, (name, mode)
+            reports[name, mode] = RunReport.load(report)
+
+    def span_names(node) -> list:
+        return [node.name] + [
+            n for child in node.children for n in span_names(child)
+        ]
+
+    def counters(rep) -> dict:
+        # How memo lookups split into hits and misses depends on which
+        # forked worker a chunk lands on; everything else is exact.
+        return {
+            k: v for k, v in rep.counters.items()
+            if k not in ("hotpath.memo_hits", "hotpath.memo_misses",
+                         "hotpath.memo_evictions")
+        }
+
+    for mode in modes:
+        default, fork = reports["default", mode], reports["fork", mode]
+        assert counters(default) == counters(fork), mode
+        assert span_names(default.span_tree()) == span_names(
+            fork.span_tree()
+        ), mode
 
 
-def test_cli_shards_requires_socket_backend(tmp_path):
-    from repro.tools.common import backend_from_args
+def test_cli_shards_requires_socket_backend(tmp_path, capsys):
+    """``--shards`` without ``--backend socket`` is a usage error like
+    every other flag conflict: exit 2 with the usage line."""
+    from repro.tools.correct import main as correct_main
 
-    class Args:
-        backend = None
-        shards = 4
-        workers = 2
-
-    with pytest.raises(SystemExit):
-        backend_from_args(Args())
-    Args.backend = "threads"
-    with pytest.raises(SystemExit):
-        backend_from_args(Args())
-    Args.backend = None
-    Args.shards = None
-    assert backend_from_args(Args()) is None
+    for extra in ([], ["--backend", "threads"]):
+        with pytest.raises(SystemExit) as exc:
+            correct_main(
+                ["in.fastq", str(tmp_path / "out.fastq"),
+                 "--shards", "4", *extra]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--shards requires --backend socket" in err

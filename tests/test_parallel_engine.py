@@ -17,11 +17,7 @@ from repro.core.reptile import ReptileCorrector
 from repro.io.readset import ReadSet
 from repro.mapreduce import faults
 from repro.mapreduce.types import FatalTaskError, RetryPolicy, SkipBudgetExceeded
-from repro.parallel import (
-    HAVE_SHARED_MEMORY,
-    SharedSpectrumHandle,
-    correct_in_parallel,
-)
+from repro.parallel import correct_in_parallel
 from repro.simulate.errors import illumina_like_model
 from repro.simulate.genome import repeat_spec, simulate_genome
 from repro.simulate.illumina import simulate_reads
@@ -146,54 +142,6 @@ def test_chunk_size_validation(reptile_case):
     corrector, reads = reptile_case
     with pytest.raises(ValueError):
         correct_in_parallel(corrector, reads, chunk_size=0)
-    with pytest.raises(ValueError):
-        correct_in_parallel(corrector, reads, spectrum_backing="bogus")
-
-
-# -- shared-memory backing ---------------------------------------------------
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared_memory")
-def test_shared_backing_matches_and_restores(reptile_case):
-    corrector, reads = reptile_case
-    orig_kmers = corrector.spectrum.kmers
-    orig_counts = corrector.spectrum.counts
-    report = correct_in_parallel(
-        corrector, reads, workers=2, chunk_size=128,
-        spectrum_backing="shared",
-    )
-    assert report.shared_bytes >= orig_kmers.nbytes + orig_counts.nbytes
-    # Original private arrays restored after the run.
-    assert corrector.spectrum.kmers is orig_kmers
-    assert corrector.spectrum.counts is orig_counts
-    assert np.array_equal(report.reads.codes, corrector.correct(reads).codes)
-
-
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared_memory")
-def test_shared_spectrum_handle_queries():
-    from repro.kmer.spectrum import KmerSpectrum
-
-    sp = KmerSpectrum(
-        k=4,
-        kmers=np.array([2, 7, 9], dtype=np.uint64),
-        counts=np.array([3, 1, 5], dtype=np.int64),
-    )
-    with SharedSpectrumHandle(sp) as handle:
-        assert handle.nbytes > 0
-        assert sp.count_scalar(7) == 1 and sp.count_scalar(9) == 5
-        assert 2 in sp and 4 not in sp
-    assert sp.count_scalar(2) == 3  # restored arrays still answer
-
-
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared_memory")
-def test_shared_spectrum_handle_empty_spectrum():
-    from repro.kmer.spectrum import KmerSpectrum
-
-    sp = KmerSpectrum(
-        k=4,
-        kmers=np.empty(0, dtype=np.uint64),
-        counts=np.empty(0, dtype=np.int64),
-    )
-    with SharedSpectrumHandle(sp):
-        assert len(sp) == 0 and 3 not in sp
 
 
 # -- fault model -------------------------------------------------------------

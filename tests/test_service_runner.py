@@ -187,3 +187,34 @@ def test_stale_fingerprint_checkpoint_restarts_from_scratch(
     result = execute_job(_record(dataset, output, 2), workdir)
     assert result["resumed_reads"] == 0
     assert output.read_bytes() == stream_reference
+
+
+def test_stream_job_and_cli_share_one_streamed_fit(
+    dataset, stream_reference, tmp_path, monkeypatch
+):
+    """A service stream job and ``repro correct --stream`` both fit
+    through :meth:`ReptileCorrector.fit_streaming`, and for the same
+    input get the same corrector and publish the same bytes."""
+    from repro.core.reptile import ReptileCorrector
+
+    fitted = []
+    real = ReptileCorrector.fit_streaming.__func__
+
+    def spy(cls, *args, **kwargs):
+        fitted.append(real(cls, *args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(ReptileCorrector, "fit_streaming", classmethod(spy))
+    cli_out = tmp_path / "cli.fastq"
+    assert correct_main([
+        str(dataset), str(cli_out), "--stream", "--chunk-size", "32",
+    ]) == 0
+    output = tmp_path / "out.fastq"
+    execute_job(_record(dataset, output, 1), tmp_path / "work")
+
+    (cli, cli_meta), (job, job_meta) = fitted
+    assert job.params == cli.params
+    assert job.spectrum.n_kmers == cli.spectrum.n_kmers
+    assert job.tiles.n_tiles == cli.tiles.n_tiles
+    assert job_meta["n_reads"] == cli_meta["n_reads"]
+    assert output.read_bytes() == cli_out.read_bytes() == stream_reference

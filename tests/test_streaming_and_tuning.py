@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.closet import grid_search_parameters
-from repro.core.reptile import ReptileCorrector, ReptileParams
+from repro.core.reptile import ReptileCorrector
 from repro.eval import evaluate_correction
 from repro.kmer import (
     iter_read_chunks,
@@ -179,12 +179,15 @@ def test_iter_read_chunks_rejects_bad_chunk_size(sim):
 
 
 def test_fit_streaming_matches_monolithic(sim):
-    """Divide-and-merge yields the identical corrector (Sec. 2.3)."""
-    params = ReptileParams(k=9, qc=15, qm=25, cg=15, cm=3)
-    mono = ReptileCorrector.fit(sim.reads, params=params)
-    streamed = ReptileCorrector.fit_streaming(
-        iter_read_chunks(sim.reads, 800), params=params
+    """Divide-and-merge yields the identical corrector (Sec. 2.3),
+    streamed parameter selection and select-then-replace k included."""
+    mono = ReptileCorrector.fit(sim.reads, k=9)
+    streamed, meta = ReptileCorrector.fit_streaming(
+        lambda: iter_read_chunks(sim.reads, 800), k=9
     )
+    assert meta["n_reads"] == sim.reads.n_reads
+    assert meta["spill_bytes"] == 0
+    assert streamed.params == mono.params
     assert (streamed.spectrum.kmers == mono.spectrum.kmers).all()
     assert (streamed.tiles.og == mono.tiles.og).all()
     sub = sim.reads.subset(np.arange(300))

@@ -4,7 +4,7 @@ selection (the out-of-core pipeline's phase 1)."""
 import numpy as np
 import pytest
 
-from repro.core.reptile import ReptileCorrector, ReptileParams
+from repro.core.reptile import ReptileCorrector
 from repro.core.reptile.params import (
     add_histograms,
     qc_qm_from_quality_histogram,
@@ -201,14 +201,19 @@ def test_build_from_chunks_single_pass(sim):
 
 
 def test_fit_streaming_external_matches_monolithic(sim, tmp_path):
-    params = ReptileParams(k=9, qc=15, qm=25, cg=15, cm=3)
-    mono = ReptileCorrector.fit(sim.reads, params=params)
-    streamed = ReptileCorrector.fit_streaming(
-        iter_read_chunks(sim.reads, 500),
-        params=params,
+    mono = ReptileCorrector.fit(sim.reads)
+    ticks = []
+    streamed, meta = ReptileCorrector.fit_streaming(
+        lambda: iter_read_chunks(sim.reads, 500),
         max_memory_bytes=8192,
         tmp_dir=tmp_path,
+        between_passes=lambda: ticks.append(1),
     )
+    assert ticks == [1]
+    assert meta["n_reads"] == sim.reads.n_reads
+    assert meta["spill_bytes"] > 0  # the 8 KiB budget forces spills
+    assert 0 < meta["counting_peak_bytes"]
+    assert streamed.params == mono.params
     assert np.array_equal(streamed.spectrum.kmers, mono.spectrum.kmers)
     assert np.array_equal(streamed.spectrum.counts, mono.spectrum.counts)
     assert np.array_equal(streamed.tiles.tiles, mono.tiles.tiles)
