@@ -42,7 +42,7 @@ def _bench_backend(name, build, spectrum):
     }, answers
 
 
-def test_ablation_neighbor_backends(benchmark, ch3_core):
+def test_ablation_neighbor_indexes(benchmark, ch3_core):
     reads = ch3_core["D1"].sim.reads.subset(np.arange(20_000))
     spectrum = spectrum_from_reads(reads, K)
 

@@ -20,57 +20,25 @@ or standalone::
 
 ``--smoke`` is the CI bit-rot guard: a tiny dataset, 1 worker, full
 equivalence checking, a few seconds end to end.
-
-``--hotpath`` switches to the hot-path ablation: the scalar legacy
-correction loop vs each fast path (batched tile kernels, tile memo
-cache, Bloom prefilter) alone and combined, over one shared phase-1
-fit.  Byte-equivalence with the scalar baseline is always asserted;
-``--hotpath-report BENCH_hotpath.json`` emits the committed
-``repro-bench-report/1`` perf-trajectory artifact (see
-docs/performance.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from repro import telemetry
-from repro.core import HotpathConfig
 from repro.core.reptile import ReptileCorrector
 from repro.parallel import correct_in_parallel
 from repro.simulate.errors import illumina_like_model
 from repro.simulate.genome import repeat_spec, simulate_genome
 from repro.simulate.illumina import simulate_reads
-from repro.telemetry.report import (
-    BENCH_SCHEMA_VERSION,
-    environment_info,
-    validate_bench_report_dict,
-)
 
 #: Required speedup of 4 workers over serial (acceptance bar).
 SPEEDUP_TARGET = 2.0
-
-#: Required all-on speedup over the scalar baseline on the full bench
-#: corpus (the committed BENCH_hotpath.json artifact).  CI runs the
-#: same ablation on a small corpus with a more conservative floor.
-HOTPATH_SPEEDUP_FLOOR = 3.0
-
-#: The ablation grid: each fast path alone, then all together.  The
-#: scalar baseline is the legacy per-tile path, instruction for
-#: instruction (see docs/performance.md).
-HOTPATH_CONFIGS: tuple[tuple[str, HotpathConfig], ...] = (
-    ("scalar", HotpathConfig.all_off()),
-    ("batch", replace(HotpathConfig.all_off(), batch=True)),
-    ("memo", replace(HotpathConfig.all_off(), memo=True)),
-    ("prefilter", replace(HotpathConfig.all_off(), prefilter=True)),
-    ("all_on", HotpathConfig.all_on()),
-)
 
 
 def _effective_cores() -> int:
@@ -146,94 +114,6 @@ def run_scaling(
     return rows
 
 
-def run_hotpath_ablation(reads, repeats: int = 1) -> list[dict]:
-    """Time each hot-path configuration over the same phase-1 tables.
-
-    Phase 1 (spectrum, tiles, thresholds) is fitted **once** with every
-    fast path off; each ablation corrector is then rebuilt around the
-    same shared structures, so the rows measure only the correction
-    pass.  Every config's output is asserted byte-identical to the
-    scalar baseline before any timing claim is recorded.
-    """
-    with telemetry.span("fit"):
-        base = ReptileCorrector.fit(reads, hotpath=HotpathConfig.all_off())
-
-    def _time(corrector):
-        best, corrected = None, None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            corrected = corrector.correct(reads)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, corrected
-
-    rows: list[dict] = []
-    baseline_codes = baseline_lengths = baseline_seconds = None
-    for name, hp in HOTPATH_CONFIGS:
-        corrector = (
-            base
-            if name == "scalar"
-            else ReptileCorrector(
-                params=base.params,
-                spectrum=base.spectrum,
-                tiles=base.tiles,
-                hotpath=hp,
-            )
-        )
-        with telemetry.span(f"correct[{name}]"):
-            seconds, corrected = _time(corrector)
-        if name == "scalar":
-            baseline_codes = corrected.codes
-            baseline_lengths = corrected.lengths
-            baseline_seconds = seconds
-        identical = bool(
-            np.array_equal(corrected.codes, baseline_codes)
-            and np.array_equal(corrected.lengths, baseline_lengths)
-        )
-        assert identical, (
-            f"hot-path config {name!r} diverged from the scalar baseline"
-        )
-        rows.append(
-            {
-                "name": name,
-                "batch": hp.batch,
-                "memo": hp.memo,
-                "prefilter": hp.prefilter,
-                "wall_seconds": round(seconds, 4),
-                "reads_per_second": round(reads.n_reads / max(seconds, 1e-9), 1),
-                "speedup_vs_baseline": round(baseline_seconds / max(seconds, 1e-9), 2),
-                "equivalent_to_baseline": identical,
-            }
-        )
-    return rows
-
-
-def hotpath_report(
-    rows: list[dict], corpus: dict, speedup_floor: float
-) -> dict:
-    """Assemble (and self-validate) a ``repro-bench-report/1`` document."""
-    report = {
-        "schema": BENCH_SCHEMA_VERSION,
-        "benchmark": "bench_parallel_correct/hotpath_ablation",
-        "corpus": corpus,
-        "environment": environment_info(),
-        "baseline": "scalar",
-        "speedup_floor": speedup_floor,
-        "configs": rows,
-    }
-    problems = validate_bench_report_dict(report)
-    assert not problems, f"bench report failed self-validation: {problems}"
-    return report
-
-
-def _check_hotpath_speedup(rows: list[dict], floor: float) -> None:
-    all_on = next(r for r in rows if r["name"] == "all_on")
-    assert all_on["speedup_vs_baseline"] >= floor, (
-        f"all-on hot path is {all_on['speedup_vs_baseline']}x the scalar "
-        f"baseline, below the {floor}x floor"
-    )
-
-
 def _print_rows(title: str, rows: list[dict]) -> None:
     print(f"\n=== {title} ===")
     cols = list(rows[0])
@@ -271,67 +151,6 @@ def test_parallel_correct_scaling():
     _check_speedup(rows, require=False)
 
 
-def test_hotpath_ablation_equivalence_smoke():
-    """Every ablation config is byte-identical to the scalar baseline
-    and the emitted artifact satisfies repro-bench-report/1.  (Speedup
-    is not asserted at smoke scale — the committed artifact and the CI
-    bench job own that claim.)"""
-    reads = build_dataset(genome_length=1_500, coverage=8.0, seed=11)
-    rows = run_hotpath_ablation(reads)
-    assert [r["name"] for r in rows] == [n for n, _ in HOTPATH_CONFIGS]
-    assert all(r["equivalent_to_baseline"] for r in rows)
-    report = hotpath_report(
-        rows,
-        {"genome_length": 1_500, "coverage": 8.0, "reads": reads.n_reads},
-        HOTPATH_SPEEDUP_FLOOR,
-    )
-    assert validate_bench_report_dict(report) == []
-
-
-def _main_hotpath(args: argparse.Namespace) -> int:
-    """The ``--hotpath`` entry point: ablate, assert, emit artifact."""
-    with telemetry.session("bench-hotpath-ablation"):
-        with telemetry.span("build_dataset"):
-            reads = build_dataset(args.genome_length, args.coverage)
-        rows = run_hotpath_ablation(reads, repeats=args.hotpath_repeats)
-    _print_rows(
-        f"Hot-path ablation, {reads.n_reads} reads "
-        f"({_effective_cores()} cores)",
-        rows,
-    )
-    print("equivalence: all configs byte-identical to the scalar baseline")
-    report = hotpath_report(
-        rows,
-        {
-            "genome_length": args.genome_length,
-            "coverage": args.coverage,
-            "read_length": 36,
-            "error_rate": 0.008,
-            "seed": 7,
-            "reads": reads.n_reads,
-        },
-        args.hotpath_floor,
-    )
-    if args.hotpath_report:
-        with open(args.hotpath_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote bench report to {args.hotpath_report}")
-    all_on = next(r for r in rows if r["name"] == "all_on")
-    if args.require_hotpath_speedup:
-        _check_hotpath_speedup(rows, args.hotpath_floor)
-        print(
-            f"speedup: all-on {all_on['speedup_vs_baseline']}x >= "
-            f"{args.hotpath_floor}x floor"
-        )
-    else:
-        print(
-            f"speedup: all-on {all_on['speedup_vs_baseline']}x "
-            f"(floor {args.hotpath_floor}x recorded, not asserted)"
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument(
@@ -355,40 +174,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write a repro-run-report/1 JSON report (the same schema "
              "the CLI tools emit; scaling rows land in `extra`)",
     )
-    p.add_argument(
-        "--hotpath", action="store_true",
-        help="run the hot-path ablation (scalar/batch/memo/prefilter/"
-             "all_on) instead of the worker-scaling sweep",
-    )
-    p.add_argument(
-        "--hotpath-report", default=None, metavar="PATH",
-        help="write the ablation as a repro-bench-report/1 artifact "
-             "(e.g. BENCH_hotpath.json)",
-    )
-    p.add_argument(
-        "--hotpath-floor", type=float, default=HOTPATH_SPEEDUP_FLOOR,
-        metavar="X",
-        help=f"required all-on speedup over scalar "
-             f"(default {HOTPATH_SPEEDUP_FLOOR}; CI uses a conservative "
-             f"floor on its small corpus)",
-    )
-    p.add_argument(
-        "--require-hotpath-speedup", action="store_true",
-        help="fail the run if the all-on config misses --hotpath-floor "
-             "(default: floor is printed, only the artifact records it)",
-    )
-    p.add_argument(
-        "--hotpath-repeats", type=int, default=1, metavar="N",
-        help="timing repeats per config (best-of-N; default 1)",
-    )
     args = p.parse_args(argv)
     if args.smoke:
         args.genome_length = 1_500
         args.coverage = 8.0
         args.chunk_size = 128
         args.workers = [1]
-    if args.hotpath:
-        return _main_hotpath(args)
     with telemetry.session("bench-parallel-correct") as tel:
         with telemetry.span("build_dataset"):
             reads = build_dataset(args.genome_length, args.coverage)

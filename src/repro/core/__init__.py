@@ -10,11 +10,10 @@ from .api import (
     register_corrector,
     supports_chunking,
 )
-from .hotpath import HotpathConfig, TileMemoCache
+from .hotpath import TileMemoCache
 from .hybrid import HybridCorrector, HybridResult
 
 __all__ = [
-    "HotpathConfig",
     "TileMemoCache",
     "reptile",
     "redeem",

@@ -124,15 +124,12 @@ def build_corrector(
     reads: ReadSet,
     k: int | None = None,
     genome_length: int | None = None,
-    hotpath=None,
 ) -> Corrector:
     """Fit/construct the named corrector on ``reads``.
 
     ``k`` and ``genome_length`` are interpreted per method (each has a
     sensible default); unknown methods raise ``ValueError`` listing the
-    registry.  ``hotpath`` (a :class:`repro.core.hotpath.HotpathConfig`)
-    selects which exact fast paths are active — methods without a hot
-    path (the SHREC/SAP baselines) ignore it.
+    registry.
     """
     try:
         builder = _BUILDERS[method]
@@ -141,42 +138,41 @@ def build_corrector(
             f"unknown correction method {method!r}; "
             f"available: {', '.join(available_methods())}"
         ) from None
-    return builder(reads, k=k, genome_length=genome_length, hotpath=hotpath)
+    return builder(reads, k=k, genome_length=genome_length)
 
 
 @register_corrector("reptile")
-def _build_reptile(reads, k=None, genome_length=None, hotpath=None):
+def _build_reptile(reads, k=None, genome_length=None):
     from .reptile import ReptileCorrector
 
     kwargs = {}
     if k is not None:
         kwargs["k"] = k
     return ReptileCorrector.fit(
-        reads, genome_length_estimate=genome_length, hotpath=hotpath, **kwargs
+        reads, genome_length_estimate=genome_length, **kwargs
     )
 
 
 @register_corrector("redeem")
-def _build_redeem(reads, k=None, genome_length=None, hotpath=None):
+def _build_redeem(reads, k=None, genome_length=None):
     from .redeem import RedeemCorrector
 
-    return RedeemCorrector.fit(reads, k=k or 12, hotpath=hotpath)
+    return RedeemCorrector.fit(reads, k=k or 12)
 
 
 @register_corrector("hybrid")
-def _build_hybrid(reads, k=None, genome_length=None, hotpath=None):
+def _build_hybrid(reads, k=None, genome_length=None):
     from .hybrid import HybridCorrector
 
     return HybridCorrector.fit(
         reads,
         k_redeem=k or 12,
         genome_length_estimate=genome_length,
-        hotpath=hotpath,
     )
 
 
 @register_corrector("shrec")
-def _build_shrec(reads, k=None, genome_length=None, hotpath=None):
+def _build_shrec(reads, k=None, genome_length=None):
     from ..baselines.shrec import ShrecCorrector, ShrecParams
 
     level = (2 * (k or 9) - 1) if k else 17
@@ -190,7 +186,7 @@ def _build_shrec(reads, k=None, genome_length=None, hotpath=None):
 
 
 @register_corrector("sap")
-def _build_sap(reads, k=None, genome_length=None, hotpath=None):
+def _build_sap(reads, k=None, genome_length=None):
     from ..baselines.spectral import SpectralCorrector, SpectralParams
 
     return SpectralCorrector(reads, SpectralParams(k=k or 12))

@@ -1,66 +1,39 @@
-"""Hot-path acceleration knobs shared by the correctors.
+"""Sizing constants and the rule memo of Reptile's phase-2 hot path.
 
-Three independent, individually switchable fast paths (all exact —
-every configuration produces byte-identical corrections, proven by
-``tests/test_hotpath_equivalence.py``):
-
-- **batch** — chunk-level precompute of per-window tile codes and Og
-  counts (:func:`repro.kmer.tiles.tile_og_rows`) feeding the tiling
-  walk, plus the ``og >= cg`` instant-VALID short-circuit that skips
-  candidate enumeration entirely for well-supported tiles (the
-  dominant case at realistic coverage);
-- **memo** — a bounded cache of Algorithm 1 rules keyed by
-  ``(tile_code, d1, d2)``: real datasets repeat the same error context
-  many times, and the rule is a pure function of that key for fixed
-  tables/thresholds (see :class:`~repro.core.reptile.tile_correct.TileRule`
-  for why the quality gate is split out);
-- **prefilter** — a Bloom filter fronting spectrum/tile membership
-  (:class:`repro.kmer.prefilter.BloomPrefilter`) so definitely-absent
-  candidates skip the binary search.
-
-Fork-safety contract (for future REP3xx lint work): the memo cache is
-held on the corrector *instance*, never at module scope, so forked
-workers each get a copy-on-write snapshot and mutate only their own;
-hit/miss/evict counters are harvested per chunk into the stats dict
-and merged by the parallel engine exactly like the other counters.
-A memo cache must never be shared through module globals — that is
-precisely the REP301 hazard the engine's install-before-fork pattern
-exists to avoid.
+Fork-safety contract: the memo cache is held on the corrector
+*instance*, never at module scope, so forked workers each get a
+copy-on-write snapshot and mutate only their own; hit/miss/evict
+counters are harvested per chunk into the stats dict and merged by the
+parallel engine exactly like the other counters.  A memo cache must
+never be shared through module globals — that is precisely the REP301
+hazard the engine's install-before-fork pattern exists to avoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle through reptile
     from .reptile.tile_correct import TileRule
 
+#: Max rules a corrector's memo holds before bulk eviction (per worker
+#: process).
+MEMO_CAPACITY = 1 << 20
+#: Target Bloom false-positive rate of the spectrum/tile prefilters.
+PREFILTER_FP_RATE = 0.01
 
-@dataclass(frozen=True)
+
 class HotpathConfig:
-    """Which hot-path accelerations are active, and their sizing."""
+    """Field-less, argument-less holder of the two constants above.
 
-    batch: bool = True
-    memo: bool = True
-    prefilter: bool = True
-    #: Max rules held before bulk eviction (per worker process).
-    memo_capacity: int = 1 << 20
-    #: Target Bloom false-positive rate for the membership prefilters.
-    prefilter_fp_rate: float = 0.01
+    Nothing is configurable here; the class exists only because the
+    benchmark harness reads ``HotpathConfig().prefilter_fp_rate`` to
+    build its per-layer structures at the production rate.
+    """
 
-    @classmethod
-    def all_on(cls) -> "HotpathConfig":
-        return cls()
-
-    @classmethod
-    def all_off(cls) -> "HotpathConfig":
-        """The legacy scalar path — the ablation baseline."""
-        return cls(batch=False, memo=False, prefilter=False)
-
-    @property
-    def any_on(self) -> bool:
-        return self.batch or self.memo or self.prefilter
+    __slots__ = ()
+    memo_capacity = MEMO_CAPACITY
+    prefilter_fp_rate = PREFILTER_FP_RATE
 
 
 class TileMemoCache:
@@ -77,7 +50,7 @@ class TileMemoCache:
     window without per-hit bookkeeping.
     """
 
-    def __init__(self, capacity: int = 1 << 20):
+    def __init__(self, capacity: int = MEMO_CAPACITY):
         if capacity < 2:
             raise ValueError("capacity must be >= 2")
         self.capacity = int(capacity)

@@ -57,20 +57,14 @@ class HybridCorrector:
         k_redeem: int,
         error_model: KmerErrorModel | None = None,
         dmax: int = 1,
-        hotpath=None,
         **reptile_kwargs,
     ) -> "HybridCorrector":
         """Fit the REDEEM stage; the Reptile stage is fit lazily on the
         REDEEM-corrected reads inside :meth:`run` (its spectra must
-        reflect stage 1's output).  ``hotpath`` is shared by both
-        stages (prefilter for REDEEM's EM, all three knobs for the
-        Reptile tiling pass)."""
+        reflect stage 1's output)."""
         redeem = RedeemCorrector.fit(
-            reads, k=k_redeem, error_model=error_model, dmax=dmax,
-            hotpath=hotpath,
+            reads, k=k_redeem, error_model=error_model, dmax=dmax
         )
-        if hotpath is not None:
-            reptile_kwargs.setdefault("hotpath", hotpath)
         return cls(redeem=redeem, reptile_kwargs=reptile_kwargs)
 
     def run(self, reads: ReadSet) -> HybridResult:

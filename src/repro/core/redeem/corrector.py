@@ -25,6 +25,7 @@ from ... import telemetry
 from ...io.readset import ReadSet
 from ...kmer.spectrum import KmerSpectrum, spectrum_from_reads
 from ..api import ChunkedCorrectorMixin
+from ..hotpath import PREFILTER_FP_RATE
 from .correct import correct_reads, flag_suspicious_reads
 from .em import RedeemModel, estimate_attempts
 from .error_model import KmerErrorModel, uniform_kmer_error_model
@@ -56,7 +57,6 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         both_strands: bool = False,
         spectrum: KmerSpectrum | None = None,
         use_quality_weights: bool = False,
-        hotpath=None,
     ) -> "RedeemCorrector":
         """Build the spectrum and run the EM.
 
@@ -67,13 +67,9 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         with quality-weighted q-mer counts (Chapter 5 extension),
         ignored when the reads carry no scores.
 
-        ``hotpath`` (a :class:`repro.core.hotpath.HotpathConfig`)
-        currently contributes its Bloom **prefilter**, attached to the
-        spectrum before the EM so the misread-matrix adjacency build
-        (the ``index_of`` storm over every candidate neighborhood)
-        rides it.  REDEEM already evaluates whole neighborhoods through
-        the batched CSR kernels; the tile memo does not apply here —
-        there are no tiles — and is ignored.
+        The Bloom prefilter is attached to the spectrum before the EM
+        so the misread-matrix adjacency build (the ``index_of`` storm
+        over every candidate neighborhood) rides it.
         """
         if error_model is None:
             error_model = uniform_kmer_error_model(k, 0.01)
@@ -89,8 +85,7 @@ class RedeemCorrector(ChunkedCorrectorMixin):
                 spectrum = spectrum_from_reads(
                     reads, k, both_strands=both_strands
                 )
-        if hotpath is not None and hotpath.prefilter:
-            spectrum = spectrum.with_prefilter(hotpath.prefilter_fp_rate)
+        spectrum = spectrum.with_prefilter(PREFILTER_FP_RATE)
         with telemetry.span("redeem.em", dmax=dmax, max_iter=max_iter):
             model = estimate_attempts(
                 spectrum,

@@ -24,14 +24,13 @@ import numpy as np
 
 from ... import telemetry
 from ...io.readset import ReadSet
-from ...kmer.masked_index import MaskedKmerIndex
 from ...kmer.neighbor_index import PrecomputedNeighborIndex, ProbingNeighborIndex
 from ...kmer.spectrum import KmerSpectrum, spectrum_from_reads
 from ...kmer.tiles import TileTable, tile_table_from_reads
 from ...kmer.tiles import tile_og_rows
 from ...seq.alphabet import reverse_complement_codes
 from ..api import ChunkedCorrectorMixin
-from ..hotpath import HotpathConfig, TileMemoCache
+from ..hotpath import MEMO_CAPACITY, PREFILTER_FP_RATE, TileMemoCache
 from .ambiguous import convert_ambiguous
 from .params import (
     ReptileParams,
@@ -89,48 +88,36 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         params: ReptileParams,
         spectrum: KmerSpectrum,
         tiles: TileTable,
-        neighbor_backend: str = "precomputed",
         flexible_tiling: bool = True,
-        hotpath: HotpathConfig | None = None,
     ):
-        if neighbor_backend not in ("precomputed", "probing", "masked"):
-            raise ValueError(f"unknown neighbor backend {neighbor_backend!r}")
-        self.hotpath = hotpath if hotpath is not None else HotpathConfig()
-        if self.hotpath.prefilter:
-            # Shallow copies sharing the sorted arrays: callers keeping
-            # references to the originals (e.g. the ablation bench) see
-            # no mutation.  Attaching before the neighbor-index build
-            # also accelerates the index's own membership probes.
-            spectrum = spectrum.with_prefilter(self.hotpath.prefilter_fp_rate)
-            tiles = tiles.with_prefilter(self.hotpath.prefilter_fp_rate)
+        # Shallow copies sharing the sorted arrays: callers keeping
+        # references to the originals see no mutation.  Attaching
+        # before the neighbor-index build also accelerates the index's
+        # own membership probes.
+        spectrum = spectrum.with_prefilter(PREFILTER_FP_RATE)
+        tiles = tiles.with_prefilter(PREFILTER_FP_RATE)
         self.params = params
         self.spectrum = spectrum
         self.tiles = tiles
         self.flexible_tiling = flexible_tiling
-        if neighbor_backend == "precomputed":
+        # The CSR adjacency is built from the sorted k-mer array, so it
+        # needs the whole table in this process; a sharded stand-in
+        # (distributed.ShardRouter) only answers membership queries and
+        # is probed per query instead.
+        if hasattr(spectrum, "kmers"):
             self._index = PrecomputedNeighborIndex(spectrum, params.d)
-            self._neighbor_fn = self._index.neighbors
-        elif neighbor_backend == "probing":
+        else:
             self._index = ProbingNeighborIndex(spectrum, params.d)
-            self._neighbor_fn = self._index.neighbors
-        else:  # "masked" — the set was validated on entry
-            self._index = MaskedKmerIndex(spectrum.kmers, params.k, params.d)
-            self._neighbor_fn = self._index.neighbors
         # The memo lives on the instance: forked workers get a
         # copy-on-write snapshot and mutate only their own copy, with
         # counters harvested per chunk (see core/hotpath.py docstring).
-        self._memo = (
-            TileMemoCache(self.hotpath.memo_capacity)
-            if self.hotpath.memo
-            else None
-        )
+        self._memo = TileMemoCache(MEMO_CAPACITY)
         self._ctx = TilingContext(
             params=params,
             tile_lookup=self.tiles.lookup,
-            kmer_neighbors=self._neighbor_fn,
+            kmer_neighbors=self._index.neighbors,
             flexible=flexible_tiling,
             memo=self._memo,
-            batch=self.hotpath.batch,
         )
 
     # -- construction -------------------------------------------------
@@ -140,9 +127,7 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         reads: ReadSet,
         params: ReptileParams | None = None,
         genome_length_estimate: int | None = None,
-        neighbor_backend: str = "precomputed",
         flexible_tiling: bool = True,
-        hotpath: HotpathConfig | None = None,
         **param_overrides,
     ) -> "ReptileCorrector":
         """Build all phase-1 structures from a read set.
@@ -167,14 +152,12 @@ class ReptileCorrector(ChunkedCorrectorMixin):
                 quality_cutoff=params.qc,
                 both_strands=True,
             )
-        with telemetry.span("reptile.neighbor_index", backend=neighbor_backend):
+        with telemetry.span("reptile.neighbor_index"):
             return cls(
                 params=params,
                 spectrum=spectrum,
                 tiles=tiles,
-                neighbor_backend=neighbor_backend,
                 flexible_tiling=flexible_tiling,
-                hotpath=hotpath,
             )
 
     @classmethod
@@ -185,7 +168,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         genome_length_estimate: int | None = None,
         max_memory_bytes: int | None = None,
         tmp_dir=None,
-        hotpath: HotpathConfig | None = None,
         between_passes: Callable[[], None] | None = None,
     ) -> tuple["ReptileCorrector", dict]:
         """The streamed phase 1 (Sec. 2.3's divide-and-merge for inputs
@@ -258,9 +240,7 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             # The constructor attaches the Bloom prefilters to the
             # final structures only; the selection-only table never
             # serves lookups and needs none.
-            corrector = cls(
-                params=params, spectrum=spectrum, tiles=tiles, hotpath=hotpath
-            )
+            corrector = cls(params=params, spectrum=spectrum, tiles=tiles)
         return corrector, {
             "n_reads": n_reads,
             "spill_bytes": sum(acc.spill_bytes for acc in accs),
@@ -274,13 +254,9 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         ``d1`` must be 0 or ``params.d`` (the two mutation allowances a
         canonical walk ever uses); ``og`` rows of -1 (ambiguous
         windows) are dropped.  Returns ``(utiles, decisions, new_tiles,
-        gated, uog)`` aligned over the sorted unique tile codes, or
-        None when the neighbor backend has no batch API (the masked
-        backend) — callers then fall back to the per-tile path.
+        gated, uog)`` aligned over the sorted unique tile codes.
         """
-        nb_batch = getattr(self._index, "neighbors_batch", None)
-        if nb_batch is None:
-            return None
+        nb_batch = self._index.neighbors_batch
         p = self.params
         keep = og >= 0
         codes, og = codes[keep], og[keep]
@@ -323,8 +299,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         are exactly what the scalar path would have computed and
         cached on first miss.
         """
-        if self._memo is None or rules is None:
-            return
         utiles, decisions, new_tiles, gated, uog = rules
         p = self.params
         valid_rule = TileRule(Decision.VALID)
@@ -371,12 +345,10 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         and tile tables contain both strands, so lookups agree.
         """
         p = self.params
-        if self._memo is not None:
-            # Each run reports its own memo-counter delta (harvested in
-            # correct_chunk); drop anything a prior unharvested run on
-            # this corrector left pending so deltas never bleed across
-            # runs.
-            self._memo.reset_counters()
+        # Each run reports its own memo-counter delta (harvested in
+        # correct_chunk); drop anything a prior unharvested run on this
+        # corrector left pending so deltas never bleed across runs.
+        self._memo.reset_counters()
         n_conv = 0
         if handle_ambiguous and reads.has_ambiguous().any():
             reads, conv_mask = convert_ambiguous(
@@ -391,105 +363,99 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         validated = (
             np.zeros(out.codes.shape, dtype=bool) if track_validated else None
         )
-        fw_code = fw_og = rc_code = rc_og = None
-        fw_allvalid = rc_allvalid = walk_tiles = None
         tlen = p.tile_length
-        nwin = out.codes.shape[1] - tlen + 1
-        if self.hotpath.batch and nwin > 0 and out.n_reads:
-            # Chunk-level precompute: per-window tile codes and Og for
-            # every read, forward and reverse-complement, in a few
-            # vectorized passes (grouped by read length so the RC rows
-            # line up with each read's own reversal).  A row describes
-            # the read *as it entered the pass*: the forward rows are
-            # valid until the forward pass edits the read, the RC rows
-            # only if the forward pass left it untouched.
-            fw_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
-            fw_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
-            rc_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
-            rc_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
-            fw_allvalid = np.zeros(out.n_reads, dtype=bool)
-            rc_allvalid = np.zeros(out.n_reads, dtype=bool)
-            walk_tiles = np.zeros(out.n_reads, dtype=np.int64)
-            step = p.k - p.overlap
-            groups = []
-            for ln in np.unique(out.lengths):
-                if ln < tlen:
-                    continue
-                rows = np.flatnonzero(out.lengths == ln)
-                block = out.codes[rows, :ln]
-                w = ln - tlen + 1
-                c, o = tile_og_rows(block, self.tiles)
-                fw_code[rows, :w] = c
-                fw_og[rows, :w] = o
-                c2, o2 = tile_og_rows(
-                    reverse_complement_codes(block), self.tiles
+        nwin = max(out.codes.shape[1] - tlen + 1, 0)
+        # Chunk-level precompute: per-window tile codes and Og for
+        # every read, forward and reverse-complement, in a few
+        # vectorized passes (grouped by read length so the RC rows
+        # line up with each read's own reversal).  A row describes
+        # the read *as it entered the pass*: the forward rows are
+        # valid until the forward pass edits the read, the RC rows
+        # only if the forward pass left it untouched.
+        fw_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
+        fw_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
+        rc_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
+        rc_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
+        fw_allvalid = np.zeros(out.n_reads, dtype=bool)
+        rc_allvalid = np.zeros(out.n_reads, dtype=bool)
+        walk_tiles = np.zeros(out.n_reads, dtype=np.int64)
+        step = p.k - p.overlap
+        groups = []
+        for ln in np.unique(out.lengths):
+            if ln < tlen:
+                continue
+            rows = np.flatnonzero(out.lengths == ln)
+            block = out.codes[rows, :ln]
+            w = ln - tlen + 1
+            c, o = tile_og_rows(block, self.tiles)
+            fw_code[rows, :w] = c
+            fw_og[rows, :w] = o
+            c2, o2 = tile_og_rows(
+                reverse_complement_codes(block), self.tiles
+            )
+            rc_code[rows, :w] = c2
+            rc_og[rows, :w] = o2
+            walk = np.array(
+                valid_walk_positions(int(ln), tlen, step), dtype=np.int64
+            )
+            walk_tiles[rows] = walk.size
+            groups.append((rows, walk, c, o, c2, o2))
+        # Bulk-evaluate Algorithm-1 rules for every canonical walk
+        # window of every read (d1 = d at position 0, d1 = 0 after
+        # a success), seed the memo with them, and screen whole
+        # reads whose every window rule is VALID: those walks are
+        # provably no-ops (see valid_walk_positions) and skip the
+        # Python loop entirely.
+        head_c, head_o, rest_c, rest_o = [], [], [], []
+        for rows, walk, c, o, c2, o2 in groups:
+            last = c.shape[1] - 1
+            # d1 = d windows: the walk head (pos 0) plus the
+            # first-level D3 targets — the shift-by-one placement
+            # tried after any canonical failure and the skip-by-a-
+            # tile resumption point — all queried with the full
+            # allowance.  Warming them too turns the common
+            # insufficient-head detour into pure memo hits.
+            hcols = np.unique(
+                np.clip(
+                    np.concatenate(([0], walk + 1, walk + tlen)),
+                    0,
+                    last,
                 )
-                rc_code[rows, :w] = c2
-                rc_og[rows, :w] = o2
-                walk = np.array(
-                    valid_walk_positions(int(ln), tlen, step), dtype=np.int64
+            )
+            head_c += [c[:, hcols].ravel(), c2[:, hcols].ravel()]
+            head_o += [o[:, hcols].ravel(), o2[:, hcols].ravel()]
+            if walk.size > 1:
+                cols = walk[1:]
+                rest_c += [c[:, cols].ravel(), c2[:, cols].ravel()]
+                rest_o += [o[:, cols].ravel(), o2[:, cols].ravel()]
+        if groups:
+            rules_head = self._bulk_rules(
+                np.concatenate(head_c), np.concatenate(head_o), p.d
+            )
+            self._seed_memo(rules_head, p.d)
+            if rest_c:
+                rules_rest = self._bulk_rules(
+                    np.concatenate(rest_c), np.concatenate(rest_o), 0
                 )
-                walk_tiles[rows] = walk.size
-                groups.append((rows, walk, c, o, c2, o2))
-            # Bulk-evaluate Algorithm-1 rules for every canonical walk
-            # window of every read (d1 = d at position 0, d1 = 0 after
-            # a success), seed the memo with them, and screen whole
-            # reads whose every window rule is VALID: those walks are
-            # provably no-ops (see valid_walk_positions) and skip the
-            # Python loop entirely.
-            head_c, head_o, rest_c, rest_o = [], [], [], []
+                self._seed_memo(rules_rest, 0)
             for rows, walk, c, o, c2, o2 in groups:
-                last = c.shape[1] - 1
-                # d1 = d windows: the walk head (pos 0) plus the
-                # first-level D3 targets — the shift-by-one placement
-                # tried after any canonical failure and the skip-by-a-
-                # tile resumption point — all queried with the full
-                # allowance.  Warming them too turns the common
-                # insufficient-head detour into pure memo hits.
-                hcols = np.unique(
-                    np.clip(
-                        np.concatenate(([0], walk + 1, walk + tlen)),
-                        0,
-                        last,
-                    )
-                )
-                head_c += [c[:, hcols].ravel(), c2[:, hcols].ravel()]
-                head_o += [o[:, hcols].ravel(), o2[:, hcols].ravel()]
+                fw_ok = _rule_valid(rules_head, c[:, 0], o[:, 0])
+                rc_ok = _rule_valid(rules_head, c2[:, 0], o2[:, 0])
                 if walk.size > 1:
                     cols = walk[1:]
-                    rest_c += [c[:, cols].ravel(), c2[:, cols].ravel()]
-                    rest_o += [o[:, cols].ravel(), o2[:, cols].ravel()]
-            rules_head = rules_rest = None
-            if groups:
-                rules_head = self._bulk_rules(
-                    np.concatenate(head_c), np.concatenate(head_o), p.d
-                )
-                if rest_c:
-                    rules_rest = self._bulk_rules(
-                        np.concatenate(rest_c), np.concatenate(rest_o), 0
-                    )
-                self._seed_memo(rules_head, p.d)
-                self._seed_memo(rules_rest, 0)
-            if rules_head is not None:
-                for rows, walk, c, o, c2, o2 in groups:
-                    fw_ok = _rule_valid(rules_head, c[:, 0], o[:, 0])
-                    rc_ok = _rule_valid(rules_head, c2[:, 0], o2[:, 0])
-                    if walk.size > 1 and rules_rest is not None:
-                        cols = walk[1:]
-                        fw_ok &= _rule_valid(
-                            rules_rest, c[:, cols], o[:, cols]
-                        ).all(axis=1)
-                        rc_ok &= _rule_valid(
-                            rules_rest, c2[:, cols], o2[:, cols]
-                        ).all(axis=1)
-                    fw_allvalid[rows] = fw_ok
-                    rc_allvalid[rows] = rc_ok
-        screen = fw_allvalid is not None
+                    fw_ok &= _rule_valid(
+                        rules_rest, c[:, cols], o[:, cols]
+                    ).all(axis=1)
+                    rc_ok &= _rule_valid(
+                        rules_rest, c2[:, cols], o2[:, cols]
+                    ).all(axis=1)
+                fw_allvalid[rows] = fw_ok
+                rc_allvalid[rows] = rc_ok
         untouched = np.ones(out.n_reads, dtype=bool)
         # Forward (5'->3') pass over every read.
         for i in range(out.n_reads):
             ln = int(out.lengths[i])
-            if screen and fw_allvalid[i]:
+            if fw_allvalid[i]:
                 # Provably all-valid walk: the read is untouched in
                 # this direction; reconstruct the walk stats and
                 # per-base provenance without running the pass.
@@ -504,8 +470,8 @@ class ReptileCorrector(ChunkedCorrectorMixin):
                 out.quals[i, :ln] if out.quals is not None else None,
                 self._ctx,
                 validated[i, :ln] if validated is not None else None,
-                og_row=fw_og[i] if fw_og is not None else None,
-                code_row=fw_code[i] if fw_code is not None else None,
+                og_row=fw_og[i],
+                code_row=fw_code[i],
             )
             total.merge(fw)
             if fw.bases_changed:
@@ -514,21 +480,20 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         # forward-pass edits invalidate them.  Refresh the dirty rows
         # from the corrected bases in one vectorized pass — then every
         # read, edited or not, takes the row-fed fast path in reverse.
-        if rc_og is not None and not untouched.all():
-            dirty = np.flatnonzero(~untouched)
-            for ln in np.unique(out.lengths[dirty]):
-                rows = dirty[out.lengths[dirty] == ln]
-                block = out.codes[rows, :ln]
-                w = ln - tlen + 1
-                c2, o2 = tile_og_rows(
-                    reverse_complement_codes(block), self.tiles
-                )
-                rc_code[rows, :w] = c2
-                rc_og[rows, :w] = o2
+        dirty = np.flatnonzero(~untouched)
+        for ln in np.unique(out.lengths[dirty]):
+            rows = dirty[out.lengths[dirty] == ln]
+            block = out.codes[rows, :ln]
+            w = ln - tlen + 1
+            c2, o2 = tile_og_rows(
+                reverse_complement_codes(block), self.tiles
+            )
+            rc_code[rows, :w] = c2
+            rc_og[rows, :w] = o2
         # Reverse (3'->5') pass on each read's reverse complement.
         for i in range(out.n_reads):
             ln = int(out.lengths[i])
-            if screen and untouched[i] and rc_allvalid[i]:
+            if untouched[i] and rc_allvalid[i]:
                 n_pos = int(walk_tiles[i])
                 total.tiles_examined += n_pos
                 total.tiles_valid += n_pos
@@ -546,8 +511,8 @@ class ReptileCorrector(ChunkedCorrectorMixin):
                     rq,
                     self._ctx,
                     vrc,
-                    og_row=rc_og[i] if rc_og is not None else None,
-                    code_row=rc_code[i] if rc_code is not None else None,
+                    og_row=rc_og[i],
+                    code_row=rc_code[i],
                 )
             )
             codes[:] = reverse_complement_codes(rc)
@@ -578,12 +543,11 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             "bases_changed": s.bases_changed,
             "ambiguous_converted": result.n_ambiguous_converted,
         }
-        if self._memo is not None:
-            # Per-chunk counter deltas; the parallel engine merges them
-            # across forked workers like any other stat, and telemetry
-            # exposes the totals as gauges at session close.
-            stats.update(self._memo.harvest())
-            telemetry.gauge("hotpath.memo_size", len(self._memo))
+        # Per-chunk counter deltas; the parallel engine merges them
+        # across forked workers like any other stat, and telemetry
+        # exposes the totals as gauges at session close.
+        stats.update(self._memo.harvest())
+        telemetry.gauge("hotpath.memo_size", len(self._memo))
         return result.reads, stats
 
     def memory_estimate_bytes(self) -> int:
@@ -592,12 +556,7 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         total += (
             self.tiles.tiles.nbytes + self.tiles.oc.nbytes + self.tiles.og.nbytes
         )
-        if self.spectrum.prefilter is not None:
-            total += self.spectrum.prefilter.nbytes
-        if self.tiles.prefilter is not None:
-            total += self.tiles.prefilter.nbytes
+        total += self.spectrum.prefilter.nbytes + self.tiles.prefilter.nbytes
         if isinstance(self._index, PrecomputedNeighborIndex):
             total += self._index.indptr.nbytes + self._index.indices.nbytes
-        elif isinstance(self._index, MaskedKmerIndex):
-            total += self._index.memory_bytes()
         return total

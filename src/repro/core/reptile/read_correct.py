@@ -65,13 +65,9 @@ class TilingContext:
     #: switch: False reduces Reptile to a fixed left-to-right tiling).
     flexible: bool = True
     #: Bounded memo of Algorithm 1 rules keyed by (tile_code, d1, d2);
-    #: None disables memoization (ablation / legacy path).
+    #: None evaluates every tile from scratch (the differential
+    #: suite's reference walk).
     memo: "TileMemoCache | None" = None
-    #: Enable the batched fast path: consume chunk-precomputed per-window
-    #: (tile code, Og) rows and short-circuit ``og >= cg`` tiles before
-    #: candidate enumeration.  False preserves the legacy scalar path
-    #: instruction for instruction.
-    batch: bool = False
 
 
 def _candidates(ctx: TilingContext, code: int, allowance: int) -> np.ndarray:
@@ -126,7 +122,7 @@ def _try_tile(
         _, og_t_arr = ctx.tile_lookup(np.array([tile_code], dtype=np.uint64))
         og_t = int(og_t_arr[0])
 
-    if ctx.batch and og_t >= p.cg:
+    if og_t >= p.cg:
         # Algorithm 1's very first check is og >= cg -> VALID, and
         # candidate enumeration has no side effects, so skipping it
         # here is byte-identical — just much cheaper for the dominant
@@ -231,7 +227,7 @@ def correct_read_one_direction(
     tried: set[tuple[int, int]] = set()
     guard = 0
     max_steps = 4 * L + 16
-    clean = ctx.batch and og_row is not None and code_row is not None
+    clean = og_row is not None and code_row is not None
     while pos <= L - tlen and guard < max_steps:
         guard += 1
         pos = min(pos, L - tlen)

@@ -360,7 +360,6 @@ class SocketBackend:
                 "params": corrector.params,
                 "tiles": corrector.tiles,
                 "flexible_tiling": corrector.flexible_tiling,
-                "hotpath": corrector.hotpath,
                 "prefilter": spectrum.prefilter,
                 "n_kmers": spectrum.n_kmers,
             }

@@ -120,9 +120,7 @@ def build_corrector(state: dict, routes: dict[int, tuple[str, int]]):
             params=state["params"],
             spectrum=router,  # duck-typed: the exact query surface used
             tiles=state["tiles"],
-            neighbor_backend="probing",
             flexible_tiling=state["flexible_tiling"],
-            hotpath=state["hotpath"],
         )
         return corrector, router
     raise ValueError(f"unknown state kind {kind!r}")

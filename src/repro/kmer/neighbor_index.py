@@ -98,7 +98,10 @@ class PrecomputedNeighborIndex:
         self.k = spectrum.k
         self.d = int(d)
         self.include_self = bool(include_self)
-        patterns = xor_patterns(self.k, self.d)
+        # Queries absent from the spectrum have no CSR row and are
+        # answered by probing; the prober shares this build's patterns.
+        self._probe = ProbingNeighborIndex(spectrum, d)
+        patterns = self._probe._patterns
         n = spectrum.n_kmers
         m = patterns.size
 
@@ -154,8 +157,7 @@ class PrecomputedNeighborIndex:
         """
         i = self.spectrum.index_of(np.array([code], dtype=np.uint64))[0]
         if i < 0:
-            probe = ProbingNeighborIndex(self.spectrum, self.d)
-            return probe.neighbors(code, include_self=False)
+            return self._probe.neighbors(code, include_self=False)
         idx = self.neighbors_of(int(i))
         codes = self.spectrum.kmers[idx]
         if self.include_self and not include_self:
@@ -207,9 +209,8 @@ class PrecomputedNeighborIndex:
         # Absent queries fall back to probing, exactly like neighbors().
         absent = np.flatnonzero(~present)
         if absent.size:
-            probe = ProbingNeighborIndex(self.spectrum, self.d)
             extra = [
-                probe.neighbors(int(codes[row]), include_self=False)
+                self._probe.neighbors(int(codes[row]), include_self=False)
                 for row in absent.tolist()
             ]
             vals = np.concatenate([vals, *extra])

@@ -202,12 +202,10 @@ def _skip_chunk(
 class ParallelRunReport:
     """Corrected reads plus the run's execution record.
 
-    Since the telemetry layer landed this is a **compatibility shim**:
-    the authoritative execution record is the ambient
-    :mod:`repro.telemetry` session (span ``parallel.correct``, counters
-    in the session registry, serialized by ``--report``).  The class
-    and its :meth:`summary` are kept so existing consumers
-    (benchmarks, tests, scripts) continue to work.
+    The return type of :func:`correct_in_parallel` and the per-block
+    report of :func:`correct_stream`.  The same counters also land in
+    the ambient :mod:`repro.telemetry` session (span
+    ``parallel.correct``, serialized by ``--report``).
     """
 
     reads: ReadSet

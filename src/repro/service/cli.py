@@ -18,10 +18,6 @@ output is identical either way, because both paths run the same
 envelopes.  ``submit`` mirrors the ``repro correct`` flag surface (a
 job spec *is* a serialized correct invocation); the remaining verbs
 are single service calls, safe to run while workers are live.
-
-``--store DB_PATH`` (deprecated) still opens a job database file
-directly, bypassing the client layer, for scripts written against the
-pre-HTTP CLI.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from ..core.api import available_methods
@@ -37,7 +32,7 @@ from ..tools.common import memory_size
 from .client import HTTPTransport, JobsClient, LocalTransport, \
     ServiceError, TransportError
 from .spec import DEFAULT_TENANT, JobSpec
-from .store import STATES, JobStore
+from .store import STATES
 from .worker import SpoolError
 
 
@@ -56,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default=None, metavar="BASE_URL",
         help="base URL of a `repro serve-http` server "
              "(e.g. http://127.0.0.1:8765)",
-    )
-    where.add_argument(
-        "--store", type=Path, default=None, metavar="DB_PATH",
-        help="(deprecated) open a job database file directly, "
-             "bypassing the service API",
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -129,7 +119,7 @@ def _parse_labels(pairs: list[str]) -> dict:
 
 
 def _render(record) -> str:
-    """One status line; accepts a JobRecord or a client Job alike."""
+    """One status line for a client Job."""
     lease = ""
     if record.lease_owner:
         lease = f" lease={record.lease_owner}"
@@ -185,16 +175,6 @@ def _client_for(args: argparse.Namespace) -> JobsClient:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    if args.store is not None:
-        warnings.warn(
-            "repro jobs --store is deprecated; use --spool DIR (same "
-            "behavior through the service API) or --url for a live "
-            "server",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with JobStore(args.store) as store:
-            return _dispatch(args, store)
     try:
         client = _client_for(args)
     except SpoolError as e:
@@ -212,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace, client: JobsClient) -> int:
-    """Execute one verb through the client; byte-compatible output."""
+    """Execute one verb through the client."""
     if args.verb == "submit":
         spec = _build_spec(args)
         if spec is None:
@@ -288,85 +268,6 @@ def _run(args: argparse.Namespace, client: JobsClient) -> int:
             return 1
         print(dest)
         return 0
-
-    raise AssertionError(f"unhandled verb {args.verb!r}")
-
-
-def _dispatch(args: argparse.Namespace, store: JobStore) -> int:
-    """Deprecated direct-store dispatch (the pre-HTTP CLI's core).
-
-    Kept byte-for-byte behavior-compatible for scripts that import it
-    or run ``--store``; everything else goes through :func:`_run`.
-    """
-    if args.verb == "submit":
-        spec = _build_spec(args)
-        if spec is None:
-            return 2
-        job_id = store.submit(
-            spec,
-            max_attempts=args.max_attempts,
-            tenant=getattr(args, "tenant", DEFAULT_TENANT),
-        )
-        print(job_id)
-        return 0
-
-    if args.verb == "status":
-        record = store.get(args.job_id)
-        if record is None:
-            print(f"no such job: {args.job_id}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(record.as_dict(), indent=2, sort_keys=True))
-        else:
-            print(_render(record))
-        return 0
-
-    if args.verb == "list":
-        records = store.list_jobs(
-            state=args.state, tenant=getattr(args, "tenant", None)
-        )
-        if args.json:
-            print(json.dumps(
-                [r.as_dict() for r in records], indent=2, sort_keys=True
-            ))
-        else:
-            for record in records:
-                print(_render(record))
-            counts = store.counts()
-            print(
-                "totals: "
-                + " ".join(f"{s}={n}" for s, n in counts.items() if n)
-            )
-        return 0
-
-    if args.verb == "retry":
-        if not store.retry(args.job_id):
-            print(
-                f"{args.job_id}: not retryable (must exist and be "
-                "failed/cancelled)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{args.job_id} requeued")
-        return 0
-
-    if args.verb == "cancel":
-        if not store.cancel(args.job_id):
-            print(
-                f"{args.job_id}: not cancellable (must exist and be "
-                "pending/running)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{args.job_id} cancelled")
-        return 0
-
-    if args.verb == "result":
-        print(
-            "result is not supported with --store; use --spool or --url",
-            file=sys.stderr,
-        )
-        return 2
 
     raise AssertionError(f"unhandled verb {args.verb!r}")
 

@@ -377,16 +377,16 @@ def validate_bench_report_dict(data: object) -> list[str]:
 
         {
           "schema": "repro-bench-report/1",
-          "benchmark": "hotpath_ablation",
+          "benchmark": "bench_distributed/backends",
           "corpus": {"genome_length": 12000, "coverage": 30.0, ...},
           "environment": {...},            # same shape as run reports
-          "configs": [                     # one entry per ablation
-            {"name": "scalar", "wall_seconds": 12.3,
+          "configs": [                     # one entry per configuration
+            {"name": "serial", "wall_seconds": 12.3,
              "reads_per_second": 810.5, "speedup_vs_baseline": 1.0,
              "equivalent_to_baseline": true, ...},
             ...
           ],
-          "baseline": "scalar",
+          "baseline": "serial",
           "speedup_floor": 3.0             # asserted floor (optional)
         }
 

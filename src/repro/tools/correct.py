@@ -25,7 +25,6 @@ from .common import (
     add_telemetry_flags,
     backend_from_args,
     memory_size,
-    positive_int,
     telemetry_session,
 )
 
@@ -71,57 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tmp-dir", type=Path, default=None,
         help="directory for spill files (default: system temp)",
     )
-    h = p.add_argument_group(
-        "hot-path ablation",
-        "All three fast paths are exact (byte-identical output); these "
-        "switches exist for perf ablation and debugging. See "
-        "docs/performance.md.",
-    )
-    h.add_argument(
-        "--no-batch-kernels", action="store_true",
-        help="disable the chunk-batched tile precompute and the "
-             "og>=cg short-circuit (legacy per-tile scalar path)",
-    )
-    h.add_argument(
-        "--no-memo-cache", action="store_true",
-        help="disable the bounded (tile, d1, d2) -> rule memo cache",
-    )
-    h.add_argument(
-        "--no-prefilter", action="store_true",
-        help="disable the Bloom prefilter in front of spectrum/tile "
-             "membership lookups",
-    )
-    h.add_argument(
-        "--memo-capacity", type=positive_int, default=None, metavar="N",
-        help="memo cache entries per worker before bulk eviction "
-             "(default 1048576)",
-    )
-    h.add_argument(
-        "--prefilter-fp-rate", type=float, default=None, metavar="P",
-        help="target Bloom false-positive rate (default 0.01)",
-    )
     add_parallel_flags(p)
     add_reliability_flags(p)
     add_telemetry_flags(p)
     return p
-
-
-def hotpath_from_args(args: argparse.Namespace):
-    """Build the :class:`~repro.core.hotpath.HotpathConfig` selected by
-    the ablation flags."""
-    from ..core.hotpath import HotpathConfig
-
-    extra = {}
-    if getattr(args, "memo_capacity", None) is not None:
-        extra["memo_capacity"] = args.memo_capacity
-    if getattr(args, "prefilter_fp_rate", None) is not None:
-        extra["prefilter_fp_rate"] = args.prefilter_fp_rate
-    return HotpathConfig(
-        batch=not getattr(args, "no_batch_kernels", False),
-        memo=not getattr(args, "no_memo_cache", False),
-        prefilter=not getattr(args, "no_prefilter", False),
-        **extra,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,7 +144,6 @@ def _run_stream(args: argparse.Namespace, tel, backend) -> int:
         genome_length_estimate=args.genome_length,
         max_memory_bytes=args.max_memory,
         tmp_dir=args.tmp_dir,
-        hotpath=hotpath_from_args(args),
     )
     print(f"streaming {meta['n_reads']} reads from {args.input} "
           f"(blocks of {block_reads})")
@@ -278,7 +229,6 @@ def _run(args: argparse.Namespace, tel, backend) -> int:
                 reads,
                 k=args.k,
                 genome_length=args.genome_length,
-                hotpath=hotpath_from_args(args),
             )
         if supports_chunking(corrector):
             # The chunk loop is bitwise identical to whole-set

@@ -48,6 +48,16 @@ def test_build_hybrid_is_corrector_but_not_chunked(tiny_reads):
     assert not supports_chunking(c)
 
 
+def test_library_fits_attach_the_prefilter_like_the_cli(tiny_reads):
+    """Every entry point builds the same structures: a library or
+    served REDEEM/hybrid fit carries the Bloom prefilter exactly as
+    ``repro correct --method redeem|hybrid`` does."""
+    redeem = build_corrector("redeem", tiny_reads, k=10)
+    assert redeem.spectrum.prefilter is not None
+    hybrid = build_corrector("hybrid", tiny_reads, k=10)
+    assert hybrid.redeem.spectrum.prefilter is not None
+
+
 def test_build_corrector_unknown_method(tiny_reads):
     with pytest.raises(ValueError, match="unknown correction method"):
         build_corrector("nope", tiny_reads)

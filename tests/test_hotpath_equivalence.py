@@ -1,17 +1,21 @@
-"""Differential tests: every hot-path fast path is byte-exact.
+"""Differential tests: the Reptile hot path is byte-exact.
 
-The batched kernels, the correction memo cache, and the Bloom
-prefilter (:mod:`repro.core.hotpath`) are *accelerations*, not
-approximations — any configuration must produce output bitwise
-identical to the legacy scalar path.  These tests pin that contract
-at every level:
+The chunk precompute, the read screening, the seeded tile-rule memo
+and the Bloom prefilters are *accelerations*, not approximations — the
+production corrector must produce output bitwise identical to the
+plain scalar Algorithm 1/2.  These tests pin that contract at every
+level:
 
 - kernel level — batched neighbor/mutant/decision kernels vs their
   scalar counterparts on randomized inputs;
-- corrector level — each fast path toggled alone and together, on the
-  committed golden corpus, Reptile and REDEEM, serial and through the
-  parallel engine at ``workers=2``;
-- CLI level — in-memory vs ``--stream``, all-on vs all-off flags.
+- corrector level — :class:`ReptileCorrector` against a reference
+  drive of :func:`correct_read_one_direction` with none of the
+  accelerations (un-prefiltered tables, probing neighbors, no memo, no
+  precomputed rows), on the committed golden corpus: serial, on a warm
+  memo, and through the parallel engine at ``workers`` 1 and 2; REDEEM
+  against an EM fit on an un-prefiltered spectrum;
+- CLI level — in-memory, ``--stream`` and ``--stream --workers 2``
+  against the committed golden bytes.
 """
 
 from __future__ import annotations
@@ -21,10 +25,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.hotpath import HotpathConfig
 from repro.core.redeem import RedeemCorrector
+from repro.core.redeem.em import estimate_attempts
+from repro.core.redeem.error_model import uniform_kmer_error_model
 from repro.core.reptile import ReptileCorrector
-from repro.core.reptile.read_correct import valid_walk_positions
+from repro.core.reptile.read_correct import (
+    ReadCorrectionStats,
+    TilingContext,
+    correct_read_one_direction,
+    valid_walk_positions,
+)
 from repro.core.reptile.tile_correct import (
     DECISION_CODES,
     enumerate_mutant_tiles,
@@ -37,17 +47,12 @@ from repro.kmer.neighbor_index import (
     PrecomputedNeighborIndex,
     ProbingNeighborIndex,
 )
-from repro.kmer.spectrum import KmerSpectrum
+from repro.kmer.spectrum import KmerSpectrum, spectrum_from_reads
+from repro.kmer.tiles import tile_table_from_reads
 from repro.parallel import correct_in_parallel
+from repro.seq.alphabet import reverse_complement_codes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-ABLATIONS = {
-    "all_on": HotpathConfig(),
-    "batch_only": HotpathConfig(batch=True, memo=False, prefilter=False),
-    "memo_only": HotpathConfig(batch=False, memo=True, prefilter=False),
-    "prefilter_only": HotpathConfig(batch=False, memo=False, prefilter=True),
-}
 
 
 @pytest.fixture(scope="module")
@@ -56,77 +61,114 @@ def reptile_reads():
 
 
 @pytest.fixture(scope="module")
-def scalar_corrector(reptile_reads):
-    return ReptileCorrector.fit(
-        reptile_reads, hotpath=HotpathConfig.all_off()
+def corrector(reptile_reads):
+    """The production corrector, shared so later tests run on a memo
+    earlier ones already warmed."""
+    return ReptileCorrector.fit(reptile_reads)
+
+
+def _reference_run(params, reads):
+    """Scalar Algorithm 1/2 with none of the hot-path structures.
+
+    Tables are rebuilt from the reads without prefilters, neighbors are
+    probed per query, every tile is evaluated from scratch (no memo)
+    and the walk packs each window itself (no precomputed rows).
+    Returns ``(codes, stats, validated)``.
+    """
+    spectrum = spectrum_from_reads(reads, params.k, both_strands=True)
+    tiles = tile_table_from_reads(
+        reads,
+        k=params.k,
+        overlap=params.overlap,
+        quality_cutoff=params.qc,
+        both_strands=True,
     )
+    assert spectrum.prefilter is None and tiles.prefilter is None
+    ctx = TilingContext(
+        params=params,
+        tile_lookup=tiles.lookup,
+        kmer_neighbors=ProbingNeighborIndex(spectrum, params.d).neighbors,
+    )
+    assert not reads.has_ambiguous().any()  # no N pre-pass to mirror
+    out = reads.copy()
+    stats = ReadCorrectionStats()
+    validated = np.zeros(out.codes.shape, dtype=bool)
+    for i in range(out.n_reads):
+        ln = int(out.lengths[i])
+        codes, quals = out.codes[i, :ln], out.quals[i, :ln]
+        stats.merge(
+            correct_read_one_direction(codes, quals, ctx, validated[i, :ln])
+        )
+        rc = reverse_complement_codes(codes.copy())
+        vrc = np.zeros(ln, dtype=bool)
+        stats.merge(
+            correct_read_one_direction(rc, quals[::-1].copy(), ctx, vrc)
+        )
+        codes[:] = reverse_complement_codes(rc)
+        validated[i, :ln] |= vrc[::-1]
+    return out.codes, stats, validated
 
 
 @pytest.fixture(scope="module")
-def scalar_result(scalar_corrector, reptile_reads):
-    return scalar_corrector.run(reptile_reads, track_validated=True)
-
-
-def _fast_corrector(base: ReptileCorrector, hp: HotpathConfig):
-    """Same fitted tables/params as ``base``, different fast paths."""
-    return ReptileCorrector(
-        params=base.params,
-        spectrum=base.spectrum,
-        tiles=base.tiles,
-        hotpath=hp,
-    )
+def reference(corrector, reptile_reads):
+    return _reference_run(corrector.params, reptile_reads)
 
 
 # -- corrector-level differentials ------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(ABLATIONS))
 def test_reptile_fast_paths_byte_identical(
-    name, reptile_reads, scalar_corrector, scalar_result
+    reptile_reads, corrector, reference
 ):
-    """Each acceleration alone, and all together, reproduces the scalar
-    path bit for bit: codes, stats, and per-base provenance."""
-    fast = _fast_corrector(scalar_corrector, ABLATIONS[name])
-    got = fast.run(reptile_reads, track_validated=True)
-    assert np.array_equal(got.reads.codes, scalar_result.reads.codes)
-    assert np.array_equal(got.reads.lengths, scalar_result.reads.lengths)
-    assert got.stats == scalar_result.stats
-    assert np.array_equal(got.validated, scalar_result.validated)
+    """The production corrector reproduces the scalar reference bit
+    for bit: codes, stats, and per-base provenance."""
+    ref_codes, ref_stats, ref_validated = reference
+    assert ref_stats.tiles_corrected > 0  # the corpus exercises edits
+    got = corrector.run(reptile_reads, track_validated=True)
+    assert np.array_equal(got.reads.codes, ref_codes)
+    assert got.stats == ref_stats
+    assert np.array_equal(got.validated, ref_validated)
 
 
 def test_reptile_fast_path_idempotent_across_runs(
-    reptile_reads, scalar_corrector, scalar_result
+    reptile_reads, corrector, reference
 ):
     """A warmed memo (second run on the same corrector) still matches —
     cached rules replay, never drift."""
-    fast = _fast_corrector(scalar_corrector, HotpathConfig())
-    first = fast.run(reptile_reads)
-    second = fast.run(reptile_reads)
-    assert np.array_equal(first.reads.codes, scalar_result.reads.codes)
-    assert np.array_equal(second.reads.codes, scalar_result.reads.codes)
-    assert first.stats == second.stats == scalar_result.stats
+    ref_codes, ref_stats, ref_validated = reference
+    corrector.run(reptile_reads)
+    assert len(corrector._memo) > 0
+    warm = corrector.run(reptile_reads, track_validated=True)
+    assert np.array_equal(warm.reads.codes, ref_codes)
+    assert warm.stats == ref_stats
+    assert np.array_equal(warm.validated, ref_validated)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_reptile_parallel_chunked_matches_scalar(
-    workers, reptile_reads, scalar_corrector, scalar_result
+    workers, reptile_reads, corrector, reference
 ):
-    """The all-on fast path through the parallel engine's chunk loop
-    (serial and forked) equals the scalar whole-set run."""
-    fast = _fast_corrector(scalar_corrector, HotpathConfig())
+    """The parallel engine's chunk loop (serial and forked) equals the
+    scalar whole-set reference."""
+    ref_codes, ref_stats, _ = reference
     report = correct_in_parallel(
-        fast, reptile_reads, workers=workers, chunk_size=128
+        corrector, reptile_reads, workers=workers, chunk_size=128
     )
-    assert np.array_equal(report.reads.codes, scalar_result.reads.codes)
+    assert np.array_equal(report.reads.codes, ref_codes)
     merged = report.summary()
-    assert merged["bases_changed"] == scalar_result.stats.bases_changed
-    assert merged["tiles_corrected"] == scalar_result.stats.tiles_corrected
+    for name in (
+        "tiles_examined",
+        "tiles_valid",
+        "tiles_corrected",
+        "tiles_insufficient",
+        "bases_changed",
+    ):
+        assert merged[name] == getattr(ref_stats, name), name
 
 
-def test_memo_counters_harvested_per_chunk(reptile_reads, scalar_corrector):
-    fast = _fast_corrector(scalar_corrector, HotpathConfig())
+def test_memo_counters_harvested_per_chunk(reptile_reads, corrector):
     report = correct_in_parallel(
-        fast, reptile_reads, workers=1, chunk_size=256
+        corrector, reptile_reads, workers=1, chunk_size=256
     )
     merged = report.summary()
     assert merged["hotpath.memo_hits"] > 0
@@ -134,39 +176,28 @@ def test_memo_counters_harvested_per_chunk(reptile_reads, scalar_corrector):
 
 
 def test_redeem_prefilter_byte_identical():
-    """REDEEM's hotpath contribution (the spectrum prefilter riding the
-    EM neighborhood lookups) never changes a corrected base."""
+    """The spectrum prefilter riding REDEEM's EM neighborhood lookups
+    never changes T or a corrected base: the fitted corrector equals
+    an EM run on a plain, un-prefiltered spectrum."""
     reads = read_fastq(GOLDEN / "redeem_reads.fastq")
-    plain = RedeemCorrector.fit(reads, k=10)
-    fast = RedeemCorrector.fit(reads, k=10, hotpath=HotpathConfig())
+    fast = RedeemCorrector.fit(reads, k=10)
     assert fast.spectrum.prefilter is not None
+    error_model = uniform_kmer_error_model(10, 0.01)
+    plain = RedeemCorrector(
+        model=estimate_attempts(
+            spectrum_from_reads(reads, 10, both_strands=False), error_model
+        ),
+        error_model=error_model,
+        dmax=1,
+    )
+    assert plain.spectrum.prefilter is None
+    assert np.allclose(plain.T, fast.T)
     assert np.array_equal(
         plain.correct(reads).codes, fast.correct(reads).codes
     )
-    assert np.allclose(plain.T, fast.T)
 
 
-# -- CLI-level differentials (in-memory vs --stream, flags) -----------
-
-ALL_OFF_FLAGS = ["--no-batch-kernels", "--no-memo-cache", "--no-prefilter"]
-
-
-@pytest.fixture(scope="module")
-def cli_reference(tmp_path_factory):
-    """Scalar in-memory CLI output on the golden corpus."""
-    from repro.tools.correct import main as correct_main
-
-    out = tmp_path_factory.mktemp("hotpath-cli") / "ref.fastq"
-    rc = correct_main(
-        [
-            str(GOLDEN / "reptile_reads.fastq"),
-            str(out),
-            "--chunk-size", "200",
-            *ALL_OFF_FLAGS,
-        ]
-    )
-    assert rc == 0
-    return out.read_bytes()
+# -- CLI-level differentials (in-memory vs --stream) ------------------
 
 
 @pytest.mark.parametrize(
@@ -174,11 +205,10 @@ def cli_reference(tmp_path_factory):
     [
         pytest.param([], id="memory-all-on"),
         pytest.param(["--stream"], id="stream-all-on"),
-        pytest.param(["--stream", *ALL_OFF_FLAGS], id="stream-all-off"),
         pytest.param(["--stream", "--workers", "2"], id="stream-workers2"),
     ],
 )
-def test_cli_fast_paths_byte_identical(extra, tmp_path, cli_reference):
+def test_cli_fast_paths_byte_identical(extra, tmp_path):
     from repro.tools.correct import main as correct_main
 
     out = tmp_path / "out.fastq"
@@ -191,7 +221,29 @@ def test_cli_fast_paths_byte_identical(extra, tmp_path, cli_reference):
         ]
     )
     assert rc == 0
-    assert out.read_bytes() == cli_reference
+    assert out.read_bytes() == (GOLDEN / "reptile_expected.fastq").read_bytes()
+
+
+def test_cli_removed_ablation_flags_are_usage_errors(tmp_path, capsys):
+    """The five former ablation switches are gone, not silently
+    accepted: each is an argparse usage error (exit 2, no output)."""
+    from repro.tools.correct import main as correct_main
+
+    out = tmp_path / "out.fastq"
+    for flag in (
+        ["--no-batch-kernels"],
+        ["--no-memo-cache"],
+        ["--no-prefilter"],
+        ["--memo-capacity", "64"],
+        ["--prefilter-fp-rate", "0.05"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            correct_main([str(GOLDEN / "reptile_reads.fastq"), str(out), *flag])
+        assert exc.value.code == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("usage:"), flag
+        assert "unrecognized arguments: " + flag[0] in err
+        assert not out.exists()
 
 
 # -- kernel-level differentials ---------------------------------------

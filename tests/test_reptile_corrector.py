@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.reptile import ReptileCorrector, ReptileParams
+from repro.core.reptile import ReptileCorrector
 from repro.eval import evaluate_correction
 from repro.simulate import (
     UniformErrorModel,
@@ -71,28 +71,6 @@ def test_flexible_beats_fixed_tiling(dataset):
         dataset.true_codes,
     )
     assert mf.gain >= mx.gain - 0.02  # flexible should not lose
-
-
-def test_neighbor_backends_agree(dataset):
-    sub = dataset.reads.subset(np.arange(300))
-    outs = []
-    for backend in ("precomputed", "probing", "masked"):
-        c = ReptileCorrector.fit(dataset.reads, k=9, neighbor_backend=backend)
-        outs.append(c.correct(sub).codes)
-    assert (outs[0] == outs[1]).all()
-    assert (outs[0] == outs[2]).all()
-
-
-def test_invalid_backend():
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        ReptileCorrector(
-            params=ReptileParams(k=8),
-            spectrum=None,  # never reached
-            tiles=None,
-            neighbor_backend="bogus",
-        )
 
 
 def test_ambiguous_bases_corrected(dataset):

@@ -4,8 +4,8 @@ Three layers under test together, because their contract is shared:
 the :class:`ServiceAPI` verbs, the HTTP handler routing them, and the
 :class:`JobsClient` speaking ``repro-job/1`` envelopes back.  The CLI
 byte-compat tests pin the promise that ``repro jobs`` output is
-identical whether it talks to a spool in-process (``--spool``), a
-live server (``--url``), or the deprecated direct store (``--store``).
+identical whether it talks to a spool in-process (``--spool``) or a
+live server (``--url``).
 
 The chaos test at the bottom SIGKILLs a real ``serve-http`` process
 *mid-job* (scripted fault point), restarts it on the same spool, and
@@ -276,7 +276,7 @@ class TestClientTransports:
 
 
 class TestCliByteCompat:
-    """`repro jobs` output is identical across --spool/--url/--store."""
+    """`repro jobs` output is identical across --spool/--url."""
 
     @pytest.fixture
     def populated(self, dataset, tmp_path):
@@ -319,12 +319,7 @@ class TestCliByteCompat:
                 ["--url", srv.url],
             ]
             outs = self._outputs(variants, ["status", "job-000001", "--json"])
-            with pytest.warns(DeprecationWarning):
-                store_out = self._outputs(
-                    [["--store", str(populated / "jobs.sqlite3")]],
-                    ["status", "job-000001", "--json"],
-                )
-            assert outs[0] == outs[1] == store_out[0]
+            assert outs[0] == outs[1]
         finally:
             srv.close()
 
@@ -338,11 +333,7 @@ class TestCliByteCompat:
             for verb in (["list"], ["list", "--json"],
                          ["list", "--state", "pending"]):
                 outs = self._outputs(variants, verb)
-                with pytest.warns(DeprecationWarning):
-                    store_out = self._outputs(
-                        [["--store", str(populated / "jobs.sqlite3")]], verb
-                    )
-                assert outs[0] == outs[1] == store_out[0], verb
+                assert outs[0] == outs[1], verb
         finally:
             srv.close()
 
