@@ -11,9 +11,7 @@ One console surface over every tool::
 
 Every subcommand keeps its full parser (``python -m repro correct
 --help``), including the shared reliability / parallel / telemetry
-flag groups from :mod:`repro.tools.common`.  The legacy
-``python -m repro.tools.<name>`` module entry points still work and
-forward here with a deprecation note.
+flag groups from :mod:`repro.tools.common`.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def fit_mixture(
     max_t = float(t.max())
 
     if init_c1 is None:
-        upper = t[t > np.quantile(t, 0.5)]
+        upper = t[t > np.median(t)]
         init_c1 = float(np.median(upper)) if upper.size else max(1.0, t.mean())
     c1 = max(float(init_c1), 1e-6)
     c2 = max(c1, 1.0)
@@ -231,10 +231,7 @@ def infer_threshold(
     if positive.size == 0:
         positive = np.ones(1)
     inits = sorted(
-        {
-            float(np.quantile(positive, q))
-            for q in (0.5, 0.75, 0.9, 0.97)
-        }
+        set(np.percentile(positive, (50, 75, 90, 97)).tolist())
         | {2.0 * float(positive.mean())}
     )
     def identifiable(fit: MixtureFit) -> bool:

@@ -18,16 +18,15 @@ memory footprint follows ``O(|R^k| + |R^{2k-l}|)`` (Sec. 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ... import telemetry
 from ...io.readset import ReadSet
 from ...kmer.neighbor_index import PrecomputedNeighborIndex, ProbingNeighborIndex
-from ...kmer.spectrum import KmerSpectrum, spectrum_from_reads
-from ...kmer.tiles import TileTable, tile_table_from_reads
-from ...kmer.tiles import tile_og_rows
+from ...kmer.spectrum import KmerSpectrum
+from ...kmer.tiles import TileTable, tile_og_rows
 from ...seq.alphabet import reverse_complement_codes
 from ..api import ChunkedCorrectorMixin
 from ..hotpath import MEMO_CAPACITY, PREFILTER_FP_RATE, TileMemoCache
@@ -36,7 +35,6 @@ from .params import (
     ReptileParams,
     add_histograms,
     quality_histogram,
-    select_parameters,
     select_parameters_streaming,
 )
 from .tile_correct import (
@@ -130,35 +128,16 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         flexible_tiling: bool = True,
         **param_overrides,
     ) -> "ReptileCorrector":
-        """Build all phase-1 structures from a read set.
-
-        When ``params`` is None they are selected from the data
-        (Sec. 2.3); keyword overrides land on the selected values via
-        ``dataclasses.replace``.
-        """
-        if params is None:
-            params = select_parameters(
-                reads, genome_length_estimate=genome_length_estimate
-            )
-        if param_overrides:
-            params = replace(params, **param_overrides)
-        with telemetry.span("reptile.spectrum", k=params.k):
-            spectrum = spectrum_from_reads(reads, params.k, both_strands=True)
-        with telemetry.span("reptile.tiles"):
-            tiles = tile_table_from_reads(
-                reads,
-                k=params.k,
-                overlap=params.overlap,
-                quality_cutoff=params.qc,
-                both_strands=True,
-            )
-        with telemetry.span("reptile.neighbor_index"):
-            return cls(
-                params=params,
-                spectrum=spectrum,
-                tiles=tiles,
-                flexible_tiling=flexible_tiling,
-            )
+        """Build all phase-1 structures from a read set: the one-chunk
+        case of :meth:`fit_streaming`."""
+        corrector, _meta = cls.fit_streaming(
+            lambda: (reads,),
+            genome_length_estimate=genome_length_estimate,
+            params=params,
+            flexible_tiling=flexible_tiling,
+            **param_overrides,
+        )
+        return corrector
 
     @classmethod
     def fit_streaming(
@@ -169,21 +148,30 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         max_memory_bytes: int | None = None,
         tmp_dir=None,
         between_passes: Callable[[], None] | None = None,
+        params: ReptileParams | None = None,
+        flexible_tiling: bool = True,
+        **param_overrides,
     ) -> tuple["ReptileCorrector", dict]:
-        """The streamed phase 1 (Sec. 2.3's divide-and-merge for inputs
-        larger than memory): two passes over ``chunks()``, a factory
-        returning a fresh iterator of read chunks each call.
+        """Phase 1 (Sec. 2.3's divide-and-merge): up to two passes over
+        ``chunks()``, a factory returning a fresh iterator of read
+        chunks each call.
 
-        Pass A accumulates the quality histogram the parameter
-        selection needs; pass B builds the spectrum and tile table from
-        **one** traversal, folded with the balanced merge — or spilled
-        to disk when ``max_memory_bytes`` bounds the table memory.  The
-        selection tile table is built at the data-driven k; an explicit
-        ``k`` only overrides the k of the final structures, mirroring
-        :meth:`fit`'s select-then-replace exactly, so the corrector is
-        bitwise identical to one fit on the whole input at once.
+        When ``params`` is None they are selected from the data: pass A
+        accumulates the quality histogram that fixes ``k``, ``Qc`` and
+        ``Qm``, and ``Cg``/``Cm`` are read off the tile table pass B
+        builds at those values.  Keyword overrides (``k`` included)
+        land on the selected values via ``dataclasses.replace`` —
+        select-then-replace: the thresholds are still chosen at the
+        data-driven ``(k, overlap, Qc)``, so an override that changes
+        one of those makes pass B tabulate a second, selection-only
+        tile table.  Explicit ``params`` skip pass A and the selection.
         ``between_passes`` runs after pass A (the service renews its
         lease there).
+
+        Pass B builds the spectrum and tile table(s) from **one**
+        traversal, folded with the balanced merge — or spilled to disk
+        when ``max_memory_bytes`` bounds the table memory — so the
+        corrector is bitwise identical however the input is chunked.
 
         Returns ``(corrector, meta)``; ``meta`` carries ``n_reads``,
         ``spill_bytes`` and ``counting_peak_bytes``.
@@ -193,54 +181,63 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             TileAccumulator,
             build_from_chunks,
         )
+        if k is not None:
+            param_overrides["k"] = k
+        select = params is None
         qhist = np.zeros(0, dtype=np.int64)
-        n_reads = 0
-        with telemetry.span("stream.scan"):
-            for chunk in chunks():
-                qhist = add_histograms(qhist, quality_histogram(chunk))
-                n_reads += chunk.n_reads
-        if between_passes is not None:
-            between_passes()
 
-        sel_params = select_parameters_streaming(
-            qhist,
-            np.zeros(0, dtype=np.int64),
-            genome_length_estimate=genome_length_estimate,
-        )
-        k_final = k if k is not None else sel_params.k
+        def selected(tile_og: np.ndarray) -> ReptileParams:
+            return select_parameters_streaming(
+                qhist, tile_og, genome_length_estimate=genome_length_estimate
+            )
 
-        def tile_accumulator(tile_k: int) -> TileAccumulator:
+        if params is None:
+            with telemetry.span("reptile.scan"):
+                for chunk in chunks():
+                    qhist = add_histograms(qhist, quality_histogram(chunk))
+            if between_passes is not None:
+                between_passes()
+            params = selected(np.zeros(0, dtype=np.int64))
+        final = replace(params, **param_overrides)
+
+        def tile_accumulator(p: ReptileParams) -> TileAccumulator:
             return TileAccumulator(
-                tile_k,
-                overlap=sel_params.overlap,
-                quality_cutoff=sel_params.qc,
+                p.k,
+                overlap=p.overlap,
+                quality_cutoff=p.qc,
                 max_memory_bytes=max_memory_bytes,
                 tmp_dir=tmp_dir,
             )
 
-        with telemetry.span("fit", method="reptile", k=k_final):
-            accs = [
-                SpectrumAccumulator(
-                    k_final, max_memory_bytes=max_memory_bytes, tmp_dir=tmp_dir
-                ),
-                tile_accumulator(sel_params.k),
-            ]
-            if k_final != sel_params.k:
-                accs.append(tile_accumulator(k_final))
-            with telemetry.span("stream.phase1"):
-                results = build_from_chunks(chunks(), accs)
-            spectrum, sel_tiles, tiles = results[0], results[1], results[-1]
-            params = select_parameters_streaming(
-                qhist,
-                sel_tiles.og,
-                genome_length_estimate=genome_length_estimate,
-            )
-            if k is not None:
-                params = replace(params, k=k)
-            # The constructor attaches the Bloom prefilters to the
-            # final structures only; the selection-only table never
-            # serves lookups and needs none.
-            corrector = cls(params=params, spectrum=spectrum, tiles=tiles)
+        accs = [
+            SpectrumAccumulator(
+                final.k, max_memory_bytes=max_memory_bytes, tmp_dir=tmp_dir
+            ),
+            tile_accumulator(final),
+        ]
+        if select and (
+            (params.k, params.overlap, params.qc)
+            != (final.k, final.overlap, final.qc)
+        ):
+            accs.append(tile_accumulator(params))
+        n_reads = 0
+
+        def counted() -> Iterator[ReadSet]:
+            nonlocal n_reads
+            for chunk in chunks():
+                n_reads += chunk.n_reads
+                yield chunk
+
+        with telemetry.span("reptile.tables", k=final.k):
+            results = build_from_chunks(counted(), accs)
+        spectrum, tiles, sel_tiles = results[0], results[1], results[-1]
+        if select:
+            final = replace(selected(sel_tiles.og), **param_overrides)
+        # The constructor attaches the Bloom prefilters to the final
+        # structures only; a selection-only table never serves lookups
+        # and needs none.
+        with telemetry.span("reptile.neighbor_index"):
+            corrector = cls(final, spectrum, tiles, flexible_tiling)
         return corrector, {
             "n_reads": n_reads,
             "spill_bytes": sum(acc.spill_bytes for acc in accs),

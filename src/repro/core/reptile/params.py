@@ -79,50 +79,39 @@ def select_parameters(
     d: int = 1,
     overlap: int = 0,
     quality_fraction: float = 0.175,
-    cg_fraction: float = 0.02,
-    cm_fraction: float = 0.05,
     cr: float = 2.0,
 ) -> ReptileParams:
-    """Choose Reptile parameters from the dataset's own histograms.
-
-    ``quality_fraction`` of bases fall below the chosen ``Qc``;
-    ``cg_fraction`` of tiles have Og above ``Cg``; ``cm_fraction``
-    occur more than ``Cm`` times.  Requires quality scores for the Qc
-    step (falls back to defaults otherwise).
-    """
-    if k is None:
-        if genome_length_estimate is not None:
-            k = default_k_for_genome(genome_length_estimate)
-        else:
-            k = 12
-
-    if reads.quals is not None and reads.n_reads:
-        cols = np.arange(reads.max_length)[None, :]
-        in_read = cols < reads.lengths[:, None]
-        qvals = reads.quals[in_read]
-        qc = int(np.quantile(qvals, quality_fraction))
-        qm = int(np.quantile(qvals, min(0.5, 2 * quality_fraction)))
-        qm = max(qm, qc + 1)
-    else:
-        qc, qm = 0, 1_000_000  # score-less data: every base correctable
-
-    base = ReptileParams(k=k, d=d, overlap=overlap, qc=qc, qm=qm, cr=cr)
-
+    """Choose Reptile parameters from an in-memory read set's own
+    histograms: :func:`select_parameters_streaming` fed the read set's
+    quality histogram and the Og column of its tile table at the
+    resulting ``Qc``."""
     from ...kmer.tiles import tile_table_from_reads
 
+    qhist = quality_histogram(reads)
+
+    def selected(tile_og: np.ndarray) -> ReptileParams:
+        return select_parameters_streaming(
+            qhist,
+            tile_og,
+            k=k,
+            genome_length_estimate=genome_length_estimate,
+            d=d,
+            overlap=overlap,
+            quality_fraction=quality_fraction,
+            cr=cr,
+        )
+
+    first = selected(np.zeros(0, dtype=np.int64))
     table = tile_table_from_reads(
-        reads, k=k, overlap=overlap, quality_cutoff=qc
+        reads, k=first.k, overlap=overlap, quality_cutoff=first.qc
     )
-    if table.n_tiles:
-        cm, cg = count_histogram_thresholds(table.og)
-        base = replace(base, cg=int(cg), cm=int(cm))
-    return base
+    return selected(table.og)
 
 
 def quality_histogram(reads: ReadSet) -> np.ndarray:
     """Histogram of in-read quality scores (index = score).
 
-    The streaming accumulator behind :func:`select_parameters_streaming`:
+    The sufficient statistic behind :func:`select_parameters_streaming`:
     per-chunk histograms simply add, so the Qc/Qm quantiles of a
     dataset larger than memory are recovered exactly.  Returns an
     empty array when the read set has no quality scores.
@@ -144,13 +133,14 @@ def add_histograms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quantile_int_from_histogram(hist: np.ndarray, q: float) -> int:
-    """``int(np.quantile(values, q))`` computed from a value histogram.
+    """The ``q``-quantile of the values a histogram counts, truncated
+    to int.
 
-    Replicates numpy's linear-interpolation quantile on the implied
-    sorted value array (virtual index and lerp formulas included), so
-    streamed parameter selection is bitwise identical to the
-    monolithic :func:`select_parameters` — without materializing the
-    per-base score array.
+    Replicates numpy's default linear-interpolation quantile on the
+    implied sorted value array (virtual index and lerp formulas
+    included) without materializing the per-base score array, so
+    per-chunk histograms can simply be summed; the tests hold it equal
+    to numpy's own quantile.
     """
     hist = np.asarray(hist, dtype=np.int64)
     n = int(hist.sum())
@@ -184,14 +174,16 @@ def select_parameters_streaming(
     quality_fraction: float = 0.175,
     cr: float = 2.0,
 ) -> ReptileParams:
-    """:func:`select_parameters` from streamed sufficient statistics.
+    """Choose Reptile parameters from the dataset's own histograms.
 
     ``quality_hist`` is the summed :func:`quality_histogram` over all
-    chunks; ``tile_og`` is the Og column of the *merged* tile table
-    built at the selection k with ``quality_cutoff`` equal to the Qc
-    this function derives (see :func:`qc_qm_from_quality_histogram`
-    for the first half of the two-stage handshake).  Produces the
-    exact parameters the monolithic path selects.
+    chunks: ``quality_fraction`` of bases fall below the chosen ``Qc``
+    (score-less data falls back to 'every base correctable').
+    ``tile_og`` is the Og column of the *merged* tile table built with
+    ``quality_cutoff`` equal to that ``Qc``; ``Cg``/``Cm`` are read off
+    its multiplicity histogram (:func:`count_histogram_thresholds`).
+    The handshake is two-stage: call once with an empty ``tile_og`` to
+    learn ``k`` and ``Qc``, build the table, call again with its Og.
     """
     if k is None:
         if genome_length_estimate is not None:
@@ -210,10 +202,8 @@ def select_parameters_streaming(
 def qc_qm_from_quality_histogram(
     quality_hist: np.ndarray, quality_fraction: float = 0.175
 ) -> tuple[int, int]:
-    """``(Qc, Qm)`` from a streamed quality histogram — the same
-    quantile rule :func:`select_parameters` applies to the in-memory
-    score matrix (score-less data falls back to 'everything
-    correctable')."""
+    """``(Qc, Qm)`` from a quality histogram (score-less data falls
+    back to 'everything correctable')."""
     quality_hist = np.asarray(quality_hist, dtype=np.int64)
     if quality_hist.sum() == 0:
         return 0, 1_000_000

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..baselines.shrec import ShrecCorrector, ShrecParams
 from ..core.reptile import ReptileCorrector
+from ..core.reptile.params import quality_histogram, quantile_int_from_histogram
 from ..eval.correction import ambiguous_base_accuracy, evaluate_correction
 from ..eval.datasets import summarize_reads
 from ..mapping.rmap import map_reads
@@ -172,8 +173,8 @@ def run_fig_2_3(
         # dataset's own quality distribution (strict ~35% of bases
         # below Qc down to lenient ~10%) so the sweep spans the same
         # strict-to-permissive range whatever the simulator's scale.
-        quals = ds.sim.reads.quals
-        q = lambda frac: int(np.quantile(quals, frac))
+        qhist = quality_histogram(ds.sim.reads)
+        q = lambda frac: quantile_int_from_histogram(qhist, frac)
         param_points = [
             {"cm": 14, "qc": q(0.35)},
             {"cm": 12, "qc": q(0.35)},

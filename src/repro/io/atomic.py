@@ -37,6 +37,7 @@ __all__ = [
     "ensure_dir",
     "publish_file",
     "fsync_path",
+    "update_hash_from_file",
 ]
 
 #: Per-process sequence distinguishing concurrent temp files for the
@@ -81,6 +82,19 @@ def fsync_path(path: str | Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def update_hash_from_file(h, path: str | Path) -> None:
+    """Feed a file's bytes to the ``hashlib`` object ``h`` in 1 MiB
+    blocks — the content half of every checkpoint / warm-pool key, so
+    a resume point or fitted spectrum is never reused for different
+    input bytes.  A missing file contributes nothing."""
+    path = Path(path)
+    if not path.is_file():
+        return
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
 
 
 def ensure_dir(path: str | Path, do_fsync: bool = True) -> Path:

@@ -14,11 +14,7 @@ from .neighborhood import (
     neighbors_d1_batch,
 )
 from .prefilter import BloomPrefilter
-from .external import (
-    ExternalCodeCounter,
-    external_spectrum_from_chunks,
-    external_tile_table_from_chunks,
-)
+from .external import ExternalCodeCounter
 from .streaming import (
     SpectrumAccumulator,
     TileAccumulator,
@@ -75,6 +71,4 @@ __all__ = [
     "SpectrumAccumulator",
     "TileAccumulator",
     "ExternalCodeCounter",
-    "external_spectrum_from_chunks",
-    "external_tile_table_from_chunks",
 ]

@@ -366,45 +366,3 @@ class ExternalCodeCounter:
         finally:
             self._tmp.cleanup()
 
-
-def external_spectrum_from_chunks(
-    chunks,
-    k: int,
-    max_memory_bytes: int,
-    both_strands: bool = True,
-    tmp_dir=None,
-):
-    """Disk-spill k-spectrum over a chunk stream; see
-    :class:`repro.kmer.streaming.SpectrumAccumulator`."""
-    from .streaming import spectrum_from_chunks
-
-    return spectrum_from_chunks(
-        chunks,
-        k,
-        both_strands=both_strands,
-        max_memory_bytes=max_memory_bytes,
-        tmp_dir=tmp_dir,
-    )
-
-
-def external_tile_table_from_chunks(
-    chunks,
-    k: int,
-    max_memory_bytes: int,
-    overlap: int = 0,
-    quality_cutoff: int = 0,
-    both_strands: bool = True,
-    tmp_dir=None,
-):
-    """Disk-spill tile table over a chunk stream."""
-    from .streaming import tile_table_from_chunks
-
-    return tile_table_from_chunks(
-        chunks,
-        k,
-        overlap=overlap,
-        quality_cutoff=quality_cutoff,
-        both_strands=both_strands,
-        max_memory_bytes=max_memory_bytes,
-        tmp_dir=tmp_dir,
-    )

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from ..io.readset import ReadSet
-from .spectrum import KmerSpectrum, read_kmer_codes
+from .spectrum import KmerSpectrum, spectrum_from_reads
 from .tiles import TileTable, tile_table_from_reads
 
 T = TypeVar("T")
@@ -63,47 +63,24 @@ def merge_tile_tables(a: TileTable, b: TileTable) -> TileTable:
     return TileTable(k=a.k, overlap=a.overlap, tiles=uniq, oc=oc, og=og)
 
 
-def balanced_merge(
-    parts: Iterable[T], merge_two: Callable[[T, T], T]
-) -> T | None:
-    """Fold ``parts`` with ``merge_two`` using a binary-counter stack.
-
-    Slot ``i`` of the stack holds a partial built from ``2^i`` inputs;
-    a new part cascades carries exactly like binary increment, so only
-    same-size partials are ever merged.  Each input participates in
-    O(log C) merges (total work O(N log C) for size-proportional merge
-    cost) instead of the O(N·C) of ``reduce(merge_two, parts)``.
-    Returns ``None`` for an empty iterable.  The result equals any
-    other merge order whenever ``merge_two`` is associative.
-    """
-    stack: list[tuple[int, T]] = []  # (level, partial), levels strictly
-    for part in parts:  # decreasing from bottom to top
-        level, cur = 0, part
-        while stack and stack[-1][0] == level:
-            _, prev = stack.pop()
-            cur = merge_two(prev, cur)
-            level += 1
-        stack.append((level, cur))
-    if not stack:
-        return None
-    acc = stack.pop()[1]
-    while stack:
-        acc = merge_two(stack.pop()[1], acc)
-    return acc
-
-
 class _BalancedStack:
-    """Incremental :func:`balanced_merge` with byte-size accounting."""
+    """Binary-counter merge stack with byte-size accounting.
 
-    def __init__(self, merge_two: Callable, nbytes_of: Callable) -> None:
+    Slot ``i`` holds a partial built from ``2^i`` inputs; a pushed part
+    cascades carries exactly like binary increment, so only same-size
+    partials are ever merged.  Each input participates in O(log C)
+    merges (total work O(N log C) for size-proportional merge cost)
+    instead of the O(N·C) of ``reduce(merge_two, parts)``.
+    """
+
+    def __init__(
+        self, merge_two: Callable, nbytes_of: Callable = lambda part: 0
+    ) -> None:
         self._merge_two = merge_two
         self._nbytes_of = nbytes_of
+        # (level, partial), levels strictly decreasing bottom to top.
         self._stack: list[tuple[int, object]] = []
         self.peak_bytes = 0
-
-    def _note_peak(self) -> None:
-        held = sum(self._nbytes_of(p) for _, p in self._stack)
-        self.peak_bytes = max(self.peak_bytes, held)
 
     def push(self, part) -> None:
         level, cur = 0, part
@@ -112,7 +89,8 @@ class _BalancedStack:
             cur = self._merge_two(prev, cur)
             level += 1
         self._stack.append((level, cur))
-        self._note_peak()
+        held = sum(self._nbytes_of(p) for _, p in self._stack)
+        self.peak_bytes = max(self.peak_bytes, held)
 
     def result(self):
         if not self._stack:
@@ -120,34 +98,49 @@ class _BalancedStack:
         acc = self._stack.pop()[1]
         while self._stack:
             acc = self._merge_two(self._stack.pop()[1], acc)
-        self._stack = []
         return acc
 
 
-class SpectrumAccumulator:
-    """Streaming k-spectrum builder: feed read chunks, finalize once.
+def balanced_merge(
+    parts: Iterable[T], merge_two: Callable[[T, T], T]
+) -> T | None:
+    """Fold ``parts`` with ``merge_two`` over a :class:`_BalancedStack`.
+
+    Returns ``None`` for an empty iterable.  The result equals any
+    other merge order whenever ``merge_two`` is associative.
+    """
+    stack = _BalancedStack(merge_two)
+    for part in parts:
+        stack.push(part)
+    return stack.result()
+
+
+class _Accumulator:
+    """Shared body of the two streaming builders: feed read chunks,
+    finalize once.
 
     In-memory partials are folded with the balanced merge; with a
     ``max_memory_bytes`` budget the per-chunk tables are routed to a
     disk-spill :class:`~repro.kmer.external.ExternalCodeCounter`
     instead, bounding resident table memory.  Either way the result is
-    bitwise identical to :func:`spectrum_from_reads` on the
-    concatenated chunks.
+    bitwise identical to tabulating the concatenated chunks at once.
+
+    A subclass says how one chunk is tabulated (``_tabulate``), how two
+    tables merge (``_merge``), and how a table maps to and from the
+    counter's ``(codes, count columns...)`` form (``_columns`` /
+    ``_wrap``).
     """
+
+    _n_values: int
+    _merge: Callable
 
     def __init__(
         self,
-        k: int,
-        both_strands: bool = True,
-        max_memory_bytes: int | None = None,
-        tmp_dir=None,
-        prefilter_fp_rate: float | None = None,
+        code_bits: int,
+        max_memory_bytes: int | None,
+        tmp_dir,
+        prefilter_fp_rate: float | None,
     ) -> None:
-        from ..seq.encoding import check_k
-
-        check_k(k)
-        self.k = k
-        self.both_strands = both_strands
         self.prefilter_fp_rate = prefilter_fp_rate
         self._counter = None
         self._stack = None
@@ -155,15 +148,15 @@ class SpectrumAccumulator:
             from .external import ExternalCodeCounter
 
             self._counter = ExternalCodeCounter(
-                code_bits=2 * k,
-                n_values=1,
+                code_bits=code_bits,
+                n_values=self._n_values,
                 max_memory_bytes=max_memory_bytes,
                 tmp_dir=tmp_dir,
             )
         else:
             self._stack = _BalancedStack(
-                merge_spectra,
-                lambda s: s.kmers.nbytes + s.counts.nbytes,
+                self._merge,
+                lambda part: sum(a.nbytes for a in self._columns(part)),
             )
 
     @property
@@ -181,40 +174,80 @@ class SpectrumAccumulator:
         """Largest single chunk table fed in (external mode only)."""
         return 0 if self._counter is None else self._counter.max_add_bytes
 
-    def add_chunk(self, chunk: ReadSet) -> None:
-        codes = read_kmer_codes(chunk, self.k, both_strands=self.both_strands)
-        kmers, counts = np.unique(codes, return_counts=True)
-        if self._counter is not None:
-            self._counter.add(kmers, counts.astype(np.int64))
-        else:
-            self._stack.push(
-                KmerSpectrum(
-                    k=self.k, kmers=kmers, counts=counts.astype(np.int64)
-                )
-            )
+    def _tabulate(self, chunk: ReadSet):
+        raise NotImplementedError
 
-    def finalize(self) -> KmerSpectrum:
+    def _columns(self, part) -> tuple:
+        raise NotImplementedError
+
+    def _wrap(self, codes: np.ndarray, *columns: np.ndarray):
+        raise NotImplementedError
+
+    def add_chunk(self, chunk: ReadSet) -> None:
+        part = self._tabulate(chunk)
+        if self._counter is not None:
+            codes, *columns = self._columns(part)
+            self._counter.add(codes, np.stack(columns, axis=1))
+        else:
+            self._stack.push(part)
+
+    def finalize(self):
         if self._counter is not None:
             codes, values = self._counter.finalize()
-            out = KmerSpectrum(k=self.k, kmers=codes, counts=values[:, 0])
+            out = self._wrap(codes, *values.T)
         else:
-            acc = self._stack.result()
-            out = acc if acc is not None else KmerSpectrum(
-                k=self.k,
-                kmers=np.empty(0, dtype=np.uint64),
-                counts=np.empty(0, dtype=np.int64),
-            )
+            out = self._stack.result()
+            if out is None:
+                out = self._wrap(
+                    np.empty(0, dtype=np.uint64),
+                    *np.empty((self._n_values, 0), dtype=np.int64),
+                )
         if self.prefilter_fp_rate is not None:
             # The stream already paid for the accumulation pass; the
             # prefilter is one extra vectorized hash over the final
-            # unique codes, so ``--stream`` gets it essentially free.
+            # unique codes.
             out = out.with_prefilter(self.prefilter_fp_rate)
         return out
 
 
-class TileAccumulator:
-    """Streaming tile-table builder (Oc + Og); mirror of
-    :class:`SpectrumAccumulator` for the two-count tile tables."""
+class SpectrumAccumulator(_Accumulator):
+    """Streaming k-spectrum builder; the result equals
+    :func:`spectrum_from_reads` on the concatenated chunks."""
+
+    _n_values = 1
+    _merge = staticmethod(merge_spectra)
+
+    def __init__(
+        self,
+        k: int,
+        both_strands: bool = True,
+        max_memory_bytes: int | None = None,
+        tmp_dir=None,
+        prefilter_fp_rate: float | None = None,
+    ) -> None:
+        from ..seq.encoding import check_k
+
+        check_k(k)
+        self.k = k
+        self.both_strands = both_strands
+        super().__init__(2 * k, max_memory_bytes, tmp_dir, prefilter_fp_rate)
+
+    def _tabulate(self, chunk: ReadSet) -> KmerSpectrum:
+        return spectrum_from_reads(chunk, self.k, self.both_strands)
+
+    def _columns(self, part: KmerSpectrum) -> tuple:
+        return part.kmers, part.counts
+
+    def _wrap(self, codes, *columns) -> KmerSpectrum:
+        return KmerSpectrum(k=self.k, kmers=codes, counts=columns[0])
+
+
+class TileAccumulator(_Accumulator):
+    """Streaming tile-table builder (Oc + Og); the result equals
+    :func:`tile_table_from_reads` on the concatenated chunks."""
+
+    _n_values = 2
+    _merge = staticmethod(merge_tile_tables)
 
     def __init__(
         self,
@@ -232,78 +265,27 @@ class TileAccumulator:
         self.overlap = overlap
         self.quality_cutoff = quality_cutoff
         self.both_strands = both_strands
-        self.prefilter_fp_rate = prefilter_fp_rate
-        self._counter = None
-        self._stack = None
-        if max_memory_bytes is not None:
-            from .external import ExternalCodeCounter
+        super().__init__(
+            2 * (2 * k - overlap), max_memory_bytes, tmp_dir, prefilter_fp_rate
+        )
 
-            self._counter = ExternalCodeCounter(
-                code_bits=2 * (2 * k - overlap),
-                n_values=2,
-                max_memory_bytes=max_memory_bytes,
-                tmp_dir=tmp_dir,
-            )
-        else:
-            self._stack = _BalancedStack(
-                merge_tile_tables,
-                lambda t: t.tiles.nbytes + t.oc.nbytes + t.og.nbytes,
-            )
-
-    @property
-    def spill_bytes(self) -> int:
-        return 0 if self._counter is None else self._counter.spill_bytes
-
-    @property
-    def peak_bytes(self) -> int:
-        if self._counter is not None:
-            return self._counter.peak_buffer_bytes
-        return self._stack.peak_bytes
-
-    @property
-    def max_add_bytes(self) -> int:
-        """Largest single chunk table fed in (external mode only)."""
-        return 0 if self._counter is None else self._counter.max_add_bytes
-
-    def add_chunk(self, chunk: ReadSet) -> None:
-        part = tile_table_from_reads(
+    def _tabulate(self, chunk: ReadSet) -> TileTable:
+        return tile_table_from_reads(
             chunk,
             k=self.k,
             overlap=self.overlap,
             quality_cutoff=self.quality_cutoff,
             both_strands=self.both_strands,
         )
-        if self._counter is not None:
-            self._counter.add(
-                part.tiles, np.stack([part.oc, part.og], axis=1)
-            )
-        else:
-            self._stack.push(part)
 
-    def finalize(self) -> TileTable:
-        if self._counter is not None:
-            codes, values = self._counter.finalize()
-            out = TileTable(
-                k=self.k,
-                overlap=self.overlap,
-                tiles=codes,
-                oc=values[:, 0],
-                og=values[:, 1],
-            )
-        else:
-            acc = self._stack.result()
-            if acc is None:
-                empty = np.empty(0, dtype=np.uint64)
-                zeros = np.empty(0, dtype=np.int64)
-                out = TileTable(
-                    k=self.k, overlap=self.overlap,
-                    tiles=empty, oc=zeros, og=zeros,
-                )
-            else:
-                out = acc
-        if self.prefilter_fp_rate is not None:
-            out = out.with_prefilter(self.prefilter_fp_rate)
-        return out
+    def _columns(self, part: TileTable) -> tuple:
+        return part.tiles, part.oc, part.og
+
+    def _wrap(self, codes, *columns) -> TileTable:
+        oc, og = columns
+        return TileTable(
+            k=self.k, overlap=self.overlap, tiles=codes, oc=oc, og=og
+        )
 
 
 def build_from_chunks(chunks: Iterable[ReadSet], accumulators: Sequence):

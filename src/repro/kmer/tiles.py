@@ -144,13 +144,6 @@ class TileTable:
             )
         }
 
-    def og_quantile_threshold(self, fraction: float) -> int:
-        """Smallest count C such that at most ``fraction`` of tiles have
-        Og > C — Reptile's data-driven Cg/Cm selection (Sec. 2.3)."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        return int(np.quantile(self.og, 1.0 - fraction))
-
 
 def tile_og_rows(
     block: np.ndarray, table: TileTable

@@ -4,11 +4,14 @@ Runs a :class:`~repro.mapreduce.types.MapReduceTask` over an in-memory
 list of key/value pairs, with
 
 - a **serial** mode (deterministic, used by tests), and
-- a **multiprocess** mode: input chunks fan out to a worker pool for
+- a **multiprocess** mode (:mod:`repro.mapreduce.reliable` over a
+  :class:`repro.distributed.Backend` pool): input chunks fan out for
   the map (+combine) phase, intermediate pairs are hash-partitioned,
   and partitions fan out again for the reduce phase — the same
   map/shuffle/reduce dataflow a Hadoop cluster provides, at
-  process-pool scale (see DESIGN.md substitutions).
+  process-pool scale (see DESIGN.md substitutions).  A
+  :class:`~repro.mapreduce.types.RetryPolicy` adds per-chunk retries,
+  timeouts, and bad-record skipping on top of that dataflow.
 
 An optional ``spill_dir`` pickles each shuffle partition to disk,
 emulating Hadoop's disk-backed shuffle: the parent keeps only
@@ -16,10 +19,6 @@ emulating Hadoop's disk-backed shuffle: the parent keeps only
 partition from disk, and every spill file is deleted as soon as its
 reduce completes — so resident memory is bounded by one partition per
 worker, not the whole shuffle.
-
-Passing a :class:`~repro.mapreduce.types.RetryPolicy` routes the job
-through :mod:`repro.mapreduce.reliable`, which adds per-chunk retries,
-timeouts, and bad-record skipping on top of the same dataflow.
 """
 
 from __future__ import annotations
@@ -153,29 +152,17 @@ def run_task(
     Output is deterministic: reducers see keys in sorted order and the
     overall output is concatenated in partition order (partitions are
     assigned by :func:`stable_partition`, so the order survives
-    ``PYTHONHASHSEED`` changes).  With ``policy`` set, execution goes
-    through the fault-tolerant layer (retries, timeouts, skip mode).
+    ``PYTHONHASHSEED`` changes).  ``n_workers <= 1`` without a policy
+    runs serially in-process; everything else goes through
+    :func:`repro.mapreduce.reliable.run_task_reliable` — without a
+    ``policy``, as a single attempt with no record skipping, so the
+    first failure aborts the job as a ``FatalTaskError`` whose
+    ``__cause__`` is the original exception.
     """
-    if policy is not None:
-        from .reliable import run_task_reliable
-
-        return run_task_reliable(
-            task,
-            inputs,
-            n_workers=n_workers,
-            n_partitions=n_partitions,
-            counters=counters,
-            spill_dir=spill_dir,
-            chunk_size=chunk_size,
-            policy=policy,
-        )
-    inputs = list(inputs) if not isinstance(inputs, list) else inputs
-    if counters is None:
-        counters = telemetry.active_counters() or Counters()
-    if n_partitions is None:
-        n_partitions = max(1, n_workers)
-
-    if n_workers <= 1:
+    if policy is None and n_workers <= 1:
+        inputs = list(inputs) if not isinstance(inputs, list) else inputs
+        if counters is None:
+            counters = telemetry.active_counters() or Counters()
         with telemetry.span("mapreduce.map", task=task.name):
             mapped, stats = _map_chunk((task, inputs))
             counters.merge(stats)
@@ -184,47 +171,17 @@ def run_task(
             counters.merge(rstats)
         return reduced
 
-    import multiprocessing as mp
+    from .reliable import run_task_reliable
 
-    chunks = [inputs[i : i + chunk_size] for i in range(0, len(inputs), chunk_size)]
-    ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-    out: list[KV] = []
-    with ctx.Pool(n_workers) as pool:
-        with telemetry.span("mapreduce.map", task=task.name, chunks=len(chunks)):
-            map_results = pool.map(_map_chunk, [(task, c) for c in chunks])
-        with telemetry.span("mapreduce.shuffle", task=task.name):
-            partitions: list[list[KV]] = [[] for _ in range(n_partitions)]
-            for pairs, stats in map_results:
-                counters.merge(stats)
-                for k, v in pairs:
-                    partitions[stable_partition(k, n_partitions)].append((k, v))
-
-        with telemetry.span(
-            "mapreduce.reduce", task=task.name, partitions=n_partitions
-        ):
-            if spill_dir is not None:
-                spills = _spill_partitions(partitions, spill_dir)
-                del partitions
-                counters.incr("spilled_partitions", len(spills))
-                counters.incr(
-                    "spilled_pairs", sum(s.n_pairs for s in spills)
-                )
-                # Stream results so each spill file is deleted as soon
-                # as its reduce finishes — peak memory is one partition
-                # per in-flight worker, not the whole shuffle.
-                results = pool.imap(
-                    _reduce_partition, [(task, s) for s in spills]
-                )
-                for (pairs, stats), spill in zip(results, spills):
-                    counters.merge(stats)
-                    out.extend(pairs)
-                    spill.delete()
-                return out
-
-            reduce_results = pool.map(
-                _reduce_partition, [(task, p) for p in partitions]
-            )
-    for pairs, stats in reduce_results:
-        counters.merge(stats)
-        out.extend(pairs)
-    return out
+    if policy is None:
+        policy = RetryPolicy(max_retries=0, skip_bad_records=False)
+    return run_task_reliable(
+        task,
+        inputs,
+        n_workers=n_workers,
+        n_partitions=n_partitions,
+        counters=counters,
+        spill_dir=spill_dir,
+        chunk_size=chunk_size,
+        policy=policy,
+    )

@@ -375,11 +375,12 @@ def _run_stream_job(
         )
 
     hit: bool | None = None
-    if pool is not None:
-        entry, hit = pool.get_or_build(pool.key_for(spec), fit)
-        corrector, meta = entry.corrector, entry.meta
-    else:
-        corrector, meta = fit()
+    with telemetry.span("fit", method=spec.method):
+        if pool is not None:
+            entry, hit = pool.get_or_build(pool.key_for(spec), fit)
+            corrector, meta = entry.corrector, entry.meta
+        else:
+            corrector, meta = fit()
     # On a pool hit the scan was skipped; its one load-bearing gauge
     # is replayed from the entry's build-time metadata.
     telemetry.gauge("reads_input", meta["n_reads"])

@@ -32,6 +32,8 @@ import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..io.atomic import update_hash_from_file
+
 #: The only job kind today; the field exists so periodic-ingest or
 #: cluster jobs can join the same store without a schema change.
 KIND_CORRECT = "correct"
@@ -143,14 +145,7 @@ class JobSpec:
         (the job will fail with a clear error at run time instead).
         """
         h = hashlib.sha256(self.to_json().encode("utf-8"))
-        path = Path(self.input)
-        if path.is_file():
-            with open(path, "rb") as fh:
-                while True:
-                    block = fh.read(1 << 20)
-                    if not block:
-                        break
-                    h.update(block)
+        update_hash_from_file(h, self.input)
         return h.hexdigest()
 
     def input_fingerprint(self) -> str:
@@ -164,14 +159,7 @@ class JobSpec:
         Missing inputs hash as absent, matching :meth:`fingerprint`.
         """
         h = hashlib.sha256()
-        path = Path(self.input)
-        if path.is_file():
-            with open(path, "rb") as fh:
-                while True:
-                    block = fh.read(1 << 20)
-                    if not block:
-                        break
-                    h.update(block)
+        update_hash_from_file(h, self.input)
         return h.hexdigest()
 
 

@@ -41,10 +41,8 @@ from .metrics import MetricsRegistry
 from .progress import Heartbeat
 from .report import (
     JSON_SCHEMA,
-    BENCH_SCHEMA_VERSION,
     SCHEMA_VERSION,
     RunReport,
-    validate_bench_report_dict,
     validate_report_dict,
     validate_report_file,
 )
@@ -65,10 +63,8 @@ __all__ = [
     "Heartbeat",
     "RunReport",
     "SCHEMA_VERSION",
-    "BENCH_SCHEMA_VERSION",
     "JSON_SCHEMA",
     "validate_report_dict",
-    "validate_bench_report_dict",
     "validate_report_file",
     "SpanCollector",
     "SpanRecord",

@@ -2,7 +2,7 @@
 
 Every run — a CLI invocation, a benchmark, a pipeline — serializes to
 one JSON document in the ``repro-run-report/1`` schema so perf numbers
-are diffable across commits and feed the ``BENCH_*.json`` trajectory.
+are diffable across commits.
 
 Top-level document::
 
@@ -49,10 +49,6 @@ from .spans import SpanRecord
 
 #: Current report schema identifier; bump the suffix on breaking change.
 SCHEMA_VERSION = "repro-run-report/1"
-
-#: Benchmark-artifact schema (the committed ``BENCH_*.json`` trajectory
-#: files); see :func:`validate_bench_report_dict`.
-BENCH_SCHEMA_VERSION = "repro-bench-report/1"
 
 #: JSON-Schema rendering of the same contract, for external validators.
 JSON_SCHEMA: dict[str, Any] = {
@@ -370,103 +366,12 @@ def validate_report_dict(data: object) -> list[str]:
     return problems
 
 
-def validate_bench_report_dict(data: object) -> list[str]:
-    """Check ``data`` against the ``repro-bench-report/1`` schema.
-
-    A bench report is the committed perf-trajectory artifact::
-
-        {
-          "schema": "repro-bench-report/1",
-          "benchmark": "bench_distributed/backends",
-          "corpus": {"genome_length": 12000, "coverage": 30.0, ...},
-          "environment": {...},            # same shape as run reports
-          "configs": [                     # one entry per configuration
-            {"name": "serial", "wall_seconds": 12.3,
-             "reads_per_second": 810.5, "speedup_vs_baseline": 1.0,
-             "equivalent_to_baseline": true, ...},
-            ...
-          ],
-          "baseline": "serial",
-          "speedup_floor": 3.0             # asserted floor (optional)
-        }
-
-    Every config's output must be byte-identical to the baseline's
-    (``equivalent_to_baseline``) — a bench artifact claiming speed on
-    divergent output is invalid by construction.
-    """
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return ["report must be a JSON object"]
-    if data.get("schema") != BENCH_SCHEMA_VERSION:
-        problems.append(
-            f"schema must be {BENCH_SCHEMA_VERSION!r}, "
-            f"got {data.get('schema')!r}"
-        )
-    if not isinstance(data.get("benchmark"), str) or not data.get("benchmark"):
-        problems.append("'benchmark' must be a non-empty string")
-    if not isinstance(data.get("corpus"), dict):
-        problems.append("'corpus' must be an object")
-    if not isinstance(data.get("environment"), dict):
-        problems.append("'environment' must be an object")
-    baseline = data.get("baseline")
-    if not isinstance(baseline, str) or not baseline:
-        problems.append("'baseline' must be a non-empty string")
-    if "speedup_floor" in data and (
-        not _is_number(data["speedup_floor"]) or data["speedup_floor"] <= 0
-    ):
-        problems.append("'speedup_floor' must be a number > 0")
-    configs = data.get("configs")
-    if not isinstance(configs, list) or not configs:
-        problems.append("'configs' must be a non-empty list")
-        return problems
-    names = []
-    for i, c in enumerate(configs):
-        if not isinstance(c, dict):
-            problems.append(f"configs[{i}] must be an object")
-            continue
-        name = c.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"configs[{i}] missing non-empty 'name'")
-        else:
-            names.append(name)
-        for key in ("wall_seconds", "reads_per_second"):
-            if not _is_number(c.get(key)) or c.get(key) < 0:
-                problems.append(
-                    f"configs[{i}] {key!r} must be a number >= 0"
-                )
-        if not _is_number(c.get("speedup_vs_baseline")):
-            problems.append(
-                f"configs[{i}] 'speedup_vs_baseline' must be a number"
-            )
-        if not isinstance(c.get("equivalent_to_baseline"), bool):
-            problems.append(
-                f"configs[{i}] 'equivalent_to_baseline' must be a boolean"
-            )
-        elif not c["equivalent_to_baseline"]:
-            problems.append(
-                f"configs[{i}] ({name!r}) output diverged from the "
-                "baseline — a bench artifact must prove equivalence"
-            )
-    if len(names) != len(set(names)):
-        problems.append("config names must be unique")
-    if isinstance(baseline, str) and names and baseline not in names:
-        problems.append(f"baseline {baseline!r} not among config names")
-    return problems
-
-
 def validate_report_file(path: str | Path) -> list[str]:
-    """Validate one report file; unreadable/unparsable counts as invalid.
-
-    Dispatches on the document's ``schema`` field: run reports
-    (``repro-run-report/1``) and bench artifacts
-    (``repro-bench-report/1``) are both accepted.
-    """
+    """Validate one report file; unreadable/unparsable counts as invalid."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as e:
         return [f"cannot read {path}: {e}"]
     except json.JSONDecodeError as e:
         return [f"{path} is not valid JSON: {e}"]
-    if isinstance(data, dict) and data.get("schema") == BENCH_SCHEMA_VERSION:
-        return validate_bench_report_dict(data)
     return validate_report_dict(data)

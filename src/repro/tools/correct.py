@@ -138,13 +138,14 @@ def _run_stream(args: argparse.Namespace, tel, backend) -> int:
             error_counts=error_counts,
         )
 
-    corrector, meta = ReptileCorrector.fit_streaming(
-        chunks,
-        k=args.k,
-        genome_length_estimate=args.genome_length,
-        max_memory_bytes=args.max_memory,
-        tmp_dir=args.tmp_dir,
-    )
+    with telemetry.span("fit", method=args.method):
+        corrector, meta = ReptileCorrector.fit_streaming(
+            chunks,
+            k=args.k,
+            genome_length_estimate=args.genome_length,
+            max_memory_bytes=args.max_memory,
+            tmp_dir=args.tmp_dir,
+        )
     print(f"streaming {meta['n_reads']} reads from {args.input} "
           f"(blocks of {block_reads})")
     tel.registry.gauge("reads_input", meta["n_reads"])
@@ -198,6 +199,7 @@ def _run_stream(args: argparse.Namespace, tel, backend) -> int:
 def _run(args: argparse.Namespace, tel, backend) -> int:
     import hashlib
 
+    from ..io.atomic import update_hash_from_file
     from ..io.fastq import read_fastq, write_fastq
     from ..mapreduce import CheckpointStore
     from ..mapreduce.reliable import call_with_retries
@@ -265,8 +267,11 @@ def _run(args: argparse.Namespace, tel, backend) -> int:
     )
     fingerprint = ""
     if store is not None:
-        h = hashlib.sha256(reads.codes.tobytes())
-        h.update(repr((args.method, args.k, args.genome_length)).encode())
+        # The input *file* (names and qualities included) plus every
+        # flag that changes the corrected reads.
+        flags = (args.method, args.k, args.genome_length, args.on_error)
+        h = hashlib.sha256(repr(flags).encode())
+        update_hash_from_file(h, args.input)
         fingerprint = h.hexdigest()
     cached = store.load("corrected", 0, fingerprint) if store else None
     if cached is not None:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.io import ReadSet
 from repro.kmer import (
-    TileTable,
     compose_tile,
     compose_tiles_batch,
     split_tile,
@@ -137,20 +136,6 @@ def test_tile_table_as_dict():
     d = tt.as_dict()
     assert len(d) == tt.n_tiles
     assert d[string_to_kmer("ACGTACGT")] == (1, 1)
-
-
-def test_og_quantile_threshold():
-    tt = TileTable(
-        k=4,
-        overlap=0,
-        tiles=np.arange(100, dtype=np.uint64),
-        oc=np.arange(100, dtype=np.int64),
-        og=np.arange(100, dtype=np.int64),
-    )
-    cg = tt.og_quantile_threshold(0.05)
-    assert 90 <= cg <= 96
-    with pytest.raises(ValueError):
-        tt.og_quantile_threshold(0.0)
 
 
 def test_tile_length_packing_limit():

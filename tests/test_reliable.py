@@ -16,6 +16,7 @@ from repro.mapreduce import (
     FatalTaskError,
     FaultPlan,
     FaultSpec,
+    InjectedFault,
     MapReduceTask,
     Pipeline,
     RetryPolicy,
@@ -171,6 +172,11 @@ def test_skip_disabled_raises_fatal():
             wc_inputs(),
             policy=RetryPolicy(max_retries=1, skip_bad_records=False, **FAST),
         )
+    # A pooled run_task without a policy is the same runner at one
+    # attempt: the mapper's own exception stays reachable.
+    with pytest.raises(FatalTaskError) as failed:
+        run_task(plan.wrap(WORDCOUNT), wc_inputs(), n_workers=2)
+    assert isinstance(failed.value.__cause__, InjectedFault)
 
 
 def test_skip_budget_enforced():

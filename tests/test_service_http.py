@@ -394,7 +394,8 @@ class TestWarmPoolOverHttp:
             worker.store.close()
         assert client.wait(first.id, timeout=30).result["pool_hit"] == 0
         assert client.wait(second.id, timeout=30).result["pool_hit"] == 1
-        assert pool.stats()["hits"] == 1
+        stats = pool.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
         assert (tmp_path / "a.fastq").read_bytes() == (
             tmp_path / "b.fastq"
         ).read_bytes()

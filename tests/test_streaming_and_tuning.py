@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.closet import grid_search_parameters
 from repro.core.reptile import ReptileCorrector
+from repro.core.reptile.params import count_histogram_thresholds
 from repro.eval import evaluate_correction
 from repro.kmer import (
     iter_read_chunks,
@@ -179,19 +180,24 @@ def test_iter_read_chunks_rejects_bad_chunk_size(sim):
 
 
 def test_fit_streaming_matches_monolithic(sim):
-    """Divide-and-merge yields the identical corrector (Sec. 2.3),
-    streamed parameter selection and select-then-replace k included."""
-    mono = ReptileCorrector.fit(sim.reads, k=9)
+    """Divide-and-merge yields the whole-set structures (Sec. 2.3),
+    with select-then-replace k: thresholds chosen on the tile table at
+    the data-driven k=12, tables built at the k asked for."""
     streamed, meta = ReptileCorrector.fit_streaming(
         lambda: iter_read_chunks(sim.reads, 800), k=9
     )
     assert meta["n_reads"] == sim.reads.n_reads
     assert meta["spill_bytes"] == 0
-    assert streamed.params == mono.params
-    assert (streamed.spectrum.kmers == mono.spectrum.kmers).all()
-    assert (streamed.tiles.og == mono.tiles.og).all()
+    p = streamed.params
+    selection = tile_table_from_reads(sim.reads, k=12, quality_cutoff=p.qc)
+    assert (p.k, (p.cm, p.cg)) == (9, count_histogram_thresholds(selection.og))
+    spectrum = spectrum_from_reads(sim.reads, 9)
+    tiles = tile_table_from_reads(sim.reads, k=9, quality_cutoff=p.qc)
+    assert (streamed.spectrum.kmers == spectrum.kmers).all()
+    assert (streamed.spectrum.counts == spectrum.counts).all()
+    assert (streamed.tiles.og == tiles.og).all()
     sub = sim.reads.subset(np.arange(300))
-    out_a = mono.correct(sub)
+    out_a = ReptileCorrector(p, spectrum, tiles).correct(sub)
     out_b = streamed.correct(sub)
     assert (out_a.codes == out_b.codes).all()
     m = evaluate_correction(sub.codes, out_b.codes, sim.true_codes[:300])

@@ -1,12 +1,15 @@
 """Tests for disk-spill external counting and streamed parameter
 selection (the out-of-core pipeline's phase 1)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.reptile import ReptileCorrector
+from repro.core.reptile import ReptileCorrector, ReptileParams
 from repro.core.reptile.params import (
     add_histograms,
+    count_histogram_thresholds,
     qc_qm_from_quality_histogram,
     quality_histogram,
     quantile_int_from_histogram,
@@ -34,6 +37,17 @@ def sim():
     return simulate_reads(
         g, 36, UniformErrorModel(36, 0.01), np.random.default_rng(1),
         coverage=30.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def deep_sim():
+    """Deep enough that the Cg/Cm read off the k=12 tile table differ
+    from those at k=9, so a selection done at the wrong k shows."""
+    g = random_genome(6000, np.random.default_rng(0))
+    return simulate_reads(
+        g, 36, UniformErrorModel(36, 0.008), np.random.default_rng(1),
+        coverage=40.0,
     )
 
 
@@ -165,12 +179,27 @@ def test_external_tiles_match_monolithic(sim, tmp_path):
 
 
 def test_accumulators_report_spill_and_peak(sim, tmp_path):
-    acc = SpectrumAccumulator(9, max_memory_bytes=8192, tmp_dir=tmp_path)
-    for chunk in iter_read_chunks(sim.reads, 300):
-        acc.add_chunk(chunk)
-    acc.finalize()
-    assert acc.spill_bytes > 0
-    assert acc.peak_bytes <= 8192 + acc.max_add_bytes
+    mono = spectrum_from_reads(sim.reads, 9)
+    peaks = []
+    for chunk_size in (300, 75):
+        acc = SpectrumAccumulator(
+            9, max_memory_bytes=8192, tmp_dir=tmp_path, prefilter_fp_rate=0.01
+        )
+        for chunk in iter_read_chunks(sim.reads, chunk_size):
+            acc.add_chunk(chunk)
+        out = acc.finalize()
+        assert acc.spill_bytes > 0
+        assert acc.peak_bytes <= 8192 + acc.max_add_bytes
+        peaks.append(acc.peak_bytes)
+        # The prefilter asked for rides along without changing a count
+        # or a membership answer.
+        assert out.prefilter is not None
+        assert np.array_equal(out.kmers, mono.kmers)
+        assert np.array_equal(out.counts, mono.counts)
+        probe = np.concatenate([mono.kmers[:64], mono.kmers[:64] ^ np.uint64(3)])
+        assert np.array_equal(out.index_of(probe), mono.index_of(probe))
+    # Flat memory: four times the chunks does not raise the buffer peak.
+    assert peaks[1] <= peaks[0]
     # In-memory accumulators spill nothing but still track peaks.
     mem = TileAccumulator(9)
     for chunk in iter_read_chunks(sim.reads, 300):
@@ -200,8 +229,109 @@ def test_build_from_chunks_single_pass(sim):
     assert np.array_equal(tiles.og, mono_t.og)
 
 
+# -- the one phase 1 against a first-principles oracle ------------------------
+def _expected_phase1(reads, params=None, **overrides):
+    """Phase 1 rebuilt without the code under test: numpy quantiles
+    over the in-read scores, thresholds at the data-driven (k, Qc),
+    overrides replaced in afterwards, then one whole-set tabulation per
+    final structure."""
+    if params is None:
+        qc, qm = 0, 1_000_000
+        if reads.quals is not None:
+            in_read = np.arange(reads.max_length)[None, :] < reads.lengths[:, None]
+            qvals = reads.quals[in_read]
+            qc = int(np.quantile(qvals, 0.175))
+            qm = max(int(np.quantile(qvals, 0.35)), qc + 1)
+        sel = tile_table_from_reads(reads, k=12, quality_cutoff=qc)
+        cm, cg = count_histogram_thresholds(sel.og)
+        params = ReptileParams(k=12, qc=qc, qm=qm, cg=cg, cm=cm)
+    params = replace(params, **overrides)
+    spectrum = spectrum_from_reads(reads, params.k)
+    tiles = tile_table_from_reads(
+        reads, k=params.k, overlap=params.overlap, quality_cutoff=params.qc
+    )
+    return params, spectrum, tiles
+
+
+def _assert_phase1(corrector, expected):
+    params, spectrum, tiles = expected
+    assert corrector.params == params
+    assert np.array_equal(corrector.spectrum.kmers, spectrum.kmers)
+    assert np.array_equal(corrector.spectrum.counts, spectrum.counts)
+    assert np.array_equal(corrector.tiles.tiles, tiles.tiles)
+    assert np.array_equal(corrector.tiles.oc, tiles.oc)
+    assert np.array_equal(corrector.tiles.og, tiles.og)
+
+
+def _fit_kwargs(sim, override):
+    selected_qc = _expected_phase1(sim.reads)[0].qc
+    return {
+        "none": {},
+        "k9": {"k": 9},
+        "qc": {"qc": selected_qc + 3},
+        "params": {"params": ReptileParams(k=10, qc=selected_qc + 3, cg=9, cm=3)},
+    }[override]
+
+
+@pytest.mark.parametrize("override", ["none", "k9", "qc", "params"])
+@pytest.mark.parametrize("chunking", ["one", "many", "budget"])
+def test_phase1_matches_first_principles(deep_sim, tmp_path, chunking, override):
+    sim = deep_sim
+    kwargs = _fit_kwargs(sim, override)
+    expected = _expected_phase1(sim.reads, **kwargs)
+    if chunking == "one":
+        corrector, meta = ReptileCorrector.fit_streaming(
+            lambda: (sim.reads,), **kwargs
+        )
+    else:
+        budget = {"max_memory_bytes": 8192, "tmp_dir": tmp_path}
+        corrector, meta = ReptileCorrector.fit_streaming(
+            lambda: iter_read_chunks(sim.reads, 500),
+            **(budget if chunking == "budget" else {}),
+            **kwargs,
+        )
+    assert meta["n_reads"] == sim.reads.n_reads
+    assert (meta["spill_bytes"] > 0) == (chunking == "budget")
+    _assert_phase1(corrector, expected)
+
+
+@pytest.mark.parametrize(
+    "override, n_tile_tables", [("none", 1), ("params", 1), ("k9", 2), ("qc", 2)]
+)
+def test_fit_is_the_one_chunk_case(deep_sim, monkeypatch, override, n_tile_tables):
+    """``fit`` equals a chunked ``fit_streaming``, and tabulates the
+    tile table once unless an override moved (k, overlap, Qc) away
+    from the values the thresholds are selected at."""
+    sim = deep_sim
+    import repro.core.reptile.corrector as corrector_mod
+    import repro.kmer.streaming as streaming_mod
+    import repro.kmer.tiles as tiles_mod
+
+    real = tiles_mod.tile_table_from_reads
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(kw)
+        return real(*args, **kw)
+
+    for mod in (tiles_mod, streaming_mod, corrector_mod):
+        monkeypatch.setattr(mod, "tile_table_from_reads", counting, raising=False)
+    kwargs = _fit_kwargs(sim, override)
+    fitted = ReptileCorrector.fit(sim.reads, **kwargs)
+    assert len(calls) == n_tile_tables
+    monkeypatch.undo()
+    streamed, meta = ReptileCorrector.fit_streaming(
+        lambda: iter_read_chunks(sim.reads, 500), **kwargs
+    )
+    assert meta["n_reads"] == sim.reads.n_reads
+    _assert_phase1(streamed, (fitted.params, fitted.spectrum, fitted.tiles))
+    assert fitted.flexible_tiling and streamed.flexible_tiling
+    rigid = ReptileCorrector.fit(sim.reads, flexible_tiling=False, **kwargs)
+    assert not rigid.flexible_tiling
+
+
 def test_fit_streaming_external_matches_monolithic(sim, tmp_path):
-    mono = ReptileCorrector.fit(sim.reads)
+    expected = _expected_phase1(sim.reads)
     ticks = []
     streamed, meta = ReptileCorrector.fit_streaming(
         lambda: iter_read_chunks(sim.reads, 500),
@@ -213,12 +343,8 @@ def test_fit_streaming_external_matches_monolithic(sim, tmp_path):
     assert meta["n_reads"] == sim.reads.n_reads
     assert meta["spill_bytes"] > 0  # the 8 KiB budget forces spills
     assert 0 < meta["counting_peak_bytes"]
-    assert streamed.params == mono.params
-    assert np.array_equal(streamed.spectrum.kmers, mono.spectrum.kmers)
-    assert np.array_equal(streamed.spectrum.counts, mono.spectrum.counts)
-    assert np.array_equal(streamed.tiles.tiles, mono.tiles.tiles)
-    assert np.array_equal(streamed.tiles.oc, mono.tiles.oc)
-    assert np.array_equal(streamed.tiles.og, mono.tiles.og)
+    _assert_phase1(streamed, expected)
+    mono = ReptileCorrector(*expected)
     sub = sim.reads.subset(np.arange(200))
     assert np.array_equal(mono.correct(sub).codes, streamed.correct(sub).codes)
 
@@ -257,27 +383,31 @@ def test_quality_histogram_merge(sim):
 
 
 def test_select_parameters_streaming_matches_monolithic(sim):
-    mono = select_parameters(sim.reads)
-    qhist = quality_histogram(sim.reads)
-    # The streamed handshake: qc from the histogram first, then the
-    # tile table at that cutoff supplies the Og histogram.
-    first = select_parameters_streaming(qhist, np.zeros(0, dtype=np.int64))
-    table = tile_table_from_chunks(
-        iter_read_chunks(sim.reads, 400),
-        k=first.k,
-        overlap=first.overlap,
-        quality_cutoff=first.qc,
-    )
-    streamed = select_parameters_streaming(qhist, table.og)
-    assert streamed == mono
+    # Three reads' worth of scores too: few enough that a quantile
+    # index off by one lands on a different Qc.
+    for reads in (sim.reads, sim.reads.subset(np.arange(3))):
+        expected = _expected_phase1(reads)[0]
+        assert select_parameters(reads) == expected
+        qhist = quality_histogram(reads)
+        # The streamed handshake: qc from the histogram first, then the
+        # tile table at that cutoff supplies the Og histogram.
+        first = select_parameters_streaming(qhist, np.zeros(0, dtype=np.int64))
+        table = tile_table_from_chunks(
+            iter_read_chunks(reads, 400),
+            k=first.k,
+            overlap=first.overlap,
+            quality_cutoff=first.qc,
+        )
+        assert select_parameters_streaming(qhist, table.og) == expected
 
 
 def test_select_parameters_streaming_scoreless():
     reads = ReadSet.from_strings(["ACGTACGTACGTACGTACGTACGTA"] * 8)
-    mono = select_parameters(reads)
-    qhist = quality_histogram(reads)
+    expected = _expected_phase1(reads)[0]
+    assert (expected.qc, expected.qm) == (0, 1_000_000)
+    assert select_parameters(reads) == expected
     table = tile_table_from_chunks(
-        iter_read_chunks(reads, 3), k=mono.k, quality_cutoff=mono.qc
+        iter_read_chunks(reads, 3), k=expected.k, quality_cutoff=expected.qc
     )
-    streamed = select_parameters_streaming(qhist, table.og)
-    assert streamed == mono
+    streamed = select_parameters_streaming(quality_histogram(reads), table.og)
+    assert streamed == expected

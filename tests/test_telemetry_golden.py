@@ -22,7 +22,7 @@ from repro.telemetry import RunReport, validate_report_file
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def _run_correct(tmp_path, tag: str, workers: int) -> tuple[Path, Path]:
+def _run_correct(tmp_path, tag: str, workers: int, *extra: str) -> tuple[Path, Path]:
     from repro.tools.correct import main
 
     reads = GOLDEN_DIR / "reptile_reads.fastq"
@@ -32,7 +32,7 @@ def _run_correct(tmp_path, tag: str, workers: int) -> tuple[Path, Path]:
     report = tmp_path / f"{tag}.json"
     rc = main(
         [str(reads), str(out), "--workers", str(workers),
-         "--chunk-size", "256", "--report", str(report)]
+         "--chunk-size", "256", "--report", str(report), *extra]
     )
     assert rc == 0
     return out, report
@@ -58,7 +58,14 @@ def test_golden_correct_with_report(tmp_path):
     # The full span tree reaches through the engine layers.
     tree = rep.span_tree()
     assert tree.find("parallel.correct") is not None
-    assert tree.find("reptile.spectrum") is not None
+    phase1 = [c.name for c in tree.find("fit").children]
+    assert phase1 == ["reptile.scan", "reptile.tables", "reptile.neighbor_index"]
+    # --stream is the same phase 1 under the same names, so the two
+    # reports diff cleanly.
+    out, report_path = _run_correct(tmp_path, "stream", 1, "--stream")
+    assert out.read_bytes() == expected
+    streamed = RunReport.load(report_path).span_tree().find("fit")
+    assert [c.name for c in streamed.children] == phase1
     # Counters captured real work.
     assert rep.counters["reads_corrected"] == int(rep.gauges["reads_input"])
     assert rep.counters["bases_changed"] > 0

@@ -72,6 +72,39 @@ def test_correct_tool_hybrid(dataset_dir, tmp_path):
     assert out.exists()
 
 
+def test_correct_checkpoint_keyed_on_input_bytes(dataset_dir, tmp_path, capsys):
+    """A second FASTQ with the same bases but other names and
+    qualities must not resume the first file's checkpoint."""
+    first = dataset_dir / "reads.fastq"
+    lines = first.read_text().splitlines()
+    for i in range(0, len(lines), 4):
+        lines[i] = f"@other{i // 4}"
+        lines[i + 3] = "I" * len(lines[i + 3])
+    second = tmp_path / "second.fastq"
+    second.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "ckpt"
+
+    def run(src, name, *extra):
+        out = tmp_path / name
+        args = [str(src), str(out), "--genome-length", "5000", *extra]
+        assert correct_main(args) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    ckpt_args = ("--checkpoint-dir", str(ckpt))
+    first_bytes, log = run(first, "a.fastq", *ckpt_args)
+    assert "resumed" not in log
+    again, log = run(first, "b.fastq", *ckpt_args)
+    assert "resumed corrected reads from checkpoint" in log
+    assert again == first_bytes
+    fresh, _ = run(second, "fresh.fastq")
+    second_bytes, log = run(second, "c.fastq", *ckpt_args)
+    assert "resumed" not in log
+    assert second_bytes == fresh != first_bytes
+    # A flag that changes the parse keys the checkpoint too.
+    _, log = run(first, "d.fastq", *ckpt_args, "--on-error", "skip")
+    assert "resumed" not in log
+
+
 def test_assemble_tool(dataset_dir, tmp_path, capsys):
     out = tmp_path / "contigs.fasta"
     rc = assemble_main(
