@@ -13,7 +13,7 @@ Run:  python examples/genome_statistics.py
 
 import numpy as np
 
-from repro.core import HybridCorrector
+from repro.core.hybrid import HybridCorrector
 from repro.core.redeem import (
     RedeemCorrector,
     estimate_genome_statistics,

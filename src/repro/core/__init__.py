@@ -1,6 +1,12 @@
-"""The dissertation's three contributions: Reptile, REDEEM, CLOSET."""
+"""The dissertation's three contributions: Reptile, REDEEM, CLOSET.
 
-from . import closet, redeem, reptile
+Only Reptile (numpy alone) loads with the package; ``repro.core.redeem``,
+``repro.core.closet`` and ``repro.core.hybrid`` pull in scipy and are
+imported by whoever uses them (the registry builders in ``api`` do so
+lazily).
+"""
+
+from . import reptile
 from .api import (
     ChunkedCorrector,
     ChunkedCorrectorMixin,
@@ -11,15 +17,10 @@ from .api import (
     supports_chunking,
 )
 from .hotpath import TileMemoCache
-from .hybrid import HybridCorrector, HybridResult
 
 __all__ = [
     "TileMemoCache",
     "reptile",
-    "redeem",
-    "closet",
-    "HybridCorrector",
-    "HybridResult",
     "Corrector",
     "ChunkedCorrector",
     "ChunkedCorrectorMixin",

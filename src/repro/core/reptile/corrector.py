@@ -89,9 +89,7 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         flexible_tiling: bool = True,
     ):
         # Shallow copies sharing the sorted arrays: callers keeping
-        # references to the originals see no mutation.  Attaching
-        # before the neighbor-index build also accelerates the index's
-        # own membership probes.
+        # references to the originals see no mutation.
         spectrum = spectrum.with_prefilter(PREFILTER_FP_RATE)
         tiles = tiles.with_prefilter(PREFILTER_FP_RATE)
         self.params = params

@@ -1,7 +1,6 @@
-"""k-mer machinery: spectra, Hamming neighborhoods, masked-replica
-indexes, and tile tables."""
+"""k-mer machinery: spectra, Hamming neighborhoods, neighbor indexes,
+and tile tables."""
 
-from .masked_index import MaskedKmerIndex
 from .neighbor_index import (
     PrecomputedNeighborIndex,
     ProbingNeighborIndex,
@@ -51,7 +50,6 @@ __all__ = [
     "neighbors_d1",
     "neighbors_d1_batch",
     "neighborhood_size",
-    "MaskedKmerIndex",
     "ProbingNeighborIndex",
     "PrecomputedNeighborIndex",
     "xor_patterns",

@@ -1,21 +1,24 @@
 """Neighbor retrieval over a k-spectrum: who is within Hamming d of me?
 
-Two interchangeable strategies, both described in Sec. 2.3:
+Two classes, two halves of Sec. 2.3:
 
 - :class:`ProbingNeighborIndex` — enumerate the *complete* neighborhood
   of the query and probe the sorted spectrum for each candidate
-  (``O(C(k,d) 3^d log |R^k|)`` per query, no extra memory);
-- :class:`MaskedKmerIndex` (see ``masked_index``) — replicated
-  chunk-masked sorted copies with range scans;
-- :class:`PrecomputedNeighborIndex` — one vectorized batch pass that
-  materializes the adjacency for *every* spectrum k-mer as CSR arrays
-  (the right choice when, as in Reptile/REDEEM, all k-mers will be
-  queried anyway).
+  (``O(C(k,d) 3^d log |R^k|)`` per query, no extra memory).  It needs
+  only ``contains``, so it also serves a spectrum that is not local
+  (``distributed.ShardRouter``) and queries absent from the spectrum.
+- :class:`PrecomputedNeighborIndex` — the adjacency of *every* spectrum
+  k-mer as CSR arrays (the right choice when, as in Reptile/REDEEM, all
+  k-mers will be queried anyway), built by Sec. 2.3's masked sort: two
+  k-mers within distance ``d`` agree once some ``d`` positions are
+  cleared, so sorting the masked copies puts neighbors side by side.
 
-All return the same answers; the ablation bench compares their cost.
+Both return the same answers.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -80,11 +83,48 @@ class ProbingNeighborIndex:
         return values[order], indptr
 
 
+def _masked_sort_pairs(
+    kmers: np.ndarray, k: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered pair of indices into the distinct ``kmers`` whose
+    codes are within Hamming distance ``d`` (Sec. 2.3's masked sort).
+
+    For each choice of ``d`` positions, clear those 2-bit groups, sort,
+    and pair the members of every run of equal masked codes: they differ
+    only inside the cleared positions.  Runs are at most ``4^d`` long, so
+    offsets ``1 .. 4^d - 1`` along the sorted order reach every pair.  A
+    pair closer than ``d`` is returned once per mask that covers it.
+    """
+    full = (1 << (2 * k)) - 1
+    lo = [np.empty(0, dtype=np.int64)]
+    hi = [np.empty(0, dtype=np.int64)]
+    for positions in combinations(range(k), min(d, k)):
+        keep = full
+        for p in positions:
+            keep &= ~(3 << (2 * (k - 1 - p)))
+        masked = kmers & np.uint64(keep)
+        order = np.argsort(masked, kind="stable")
+        masked = masked[order]
+        for t in range(1, min(4 ** len(positions), kmers.size)):
+            same = masked[t:] == masked[:-t]
+            if not same.any():
+                break
+            lo.append(order[:-t][same])
+            hi.append(order[t:][same])
+    return np.concatenate(lo), np.concatenate(hi)
+
+
 class PrecomputedNeighborIndex:
-    """CSR adjacency of the whole spectrum, built in vectorized chunks.
+    """CSR adjacency of the whole spectrum, built by masked sort.
 
     ``neighbors_of(i)`` returns spectrum *indices* adjacent to spectrum
     entry ``i``; ``neighbors(code)`` mirrors the probing API.
+
+    Row order is a contract: row ``i`` lists its neighbors in the order
+    ``kmers[i] ^ xor_patterns(k, d)`` enumerates them (self first under
+    ``include_self``), not by index.  Consumers read rows in that order:
+    REDEEM sums floats along them and FreClu's ``argmax`` breaks ties by
+    position.
     """
 
     def __init__(
@@ -92,7 +132,6 @@ class PrecomputedNeighborIndex:
         spectrum: KmerSpectrum,
         d: int,
         include_self: bool = False,
-        chunk_rows: int = 65536,
     ):
         self.spectrum = spectrum
         self.k = spectrum.k
@@ -102,39 +141,30 @@ class PrecomputedNeighborIndex:
         # answered by probing; the prober shares this build's patterns.
         self._probe = ProbingNeighborIndex(spectrum, d)
         patterns = self._probe._patterns
+        kmers = spectrum.kmers
         n = spectrum.n_kmers
-        m = patterns.size
 
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        chunks: list[np.ndarray] = []
-        for start in range(0, n, chunk_rows):
-            rows = spectrum.kmers[start : start + chunk_rows]
-            ball = rows[:, None] ^ patterns[None, :]
-            idx = spectrum.index_of(ball.ravel()).reshape(ball.shape)
-            hit = idx >= 0
-            indptr[start + 1 : start + rows.size + 1] = hit.sum(axis=1)
-            # Row-major ravel keeps hits grouped by source row.
-            chunks.append(idx[hit].astype(np.int64))
-        np.cumsum(indptr, out=indptr)
-        self.indptr = indptr
-        self.indices = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        lo, hi = _masked_sort_pairs(kmers, self.k, self.d)
+        by_value = np.argsort(patterns)
+        rank = by_value[
+            np.searchsorted(patterns[by_value], kmers[lo] ^ kmers[hi])
+        ]
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        rank = np.concatenate([rank, rank]) + 1
+        if include_self:
+            loops = np.arange(n, dtype=np.int64)
+            src = np.concatenate([src, loops])
+            dst = np.concatenate([dst, loops])
+            rank = np.concatenate([rank, np.zeros(n, dtype=np.int64)])
+        # One sort orders rows by source then pattern rank and drops the
+        # repeats a pair closer than d collects from several masks.
+        _, first = np.unique(
+            src * (patterns.size + 1) + rank, return_index=True
         )
-        if include_self and m:
-            self._append_self()
-
-    def _append_self(self) -> None:
-        """Insert each node at the head of its own adjacency list."""
-        n = self.spectrum.n_kmers
-        new_indptr = self.indptr + np.arange(n + 1, dtype=np.int64)
-        new_indices = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        self_pos = new_indptr[:-1]
-        new_indices[self_pos] = np.arange(n, dtype=np.int64)
-        rest = np.ones(new_indices.size, dtype=bool)
-        rest[self_pos] = False
-        new_indices[rest] = self.indices
-        self.indptr = new_indptr
-        self.indices = new_indices
+        self.indices = dst[first]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[first], minlength=n), out=self.indptr[1:])
 
     @property
     def n_edges(self) -> int:
@@ -209,14 +239,9 @@ class PrecomputedNeighborIndex:
         # Absent queries fall back to probing, exactly like neighbors().
         absent = np.flatnonzero(~present)
         if absent.size:
-            extra = [
-                self._probe.neighbors(int(codes[row]), include_self=False)
-                for row in absent.tolist()
-            ]
-            vals = np.concatenate([vals, *extra])
-            rows = np.concatenate(
-                [rows, np.repeat(absent, [e.size for e in extra])]
-            )
+            extra, extra_ptr = self._probe.neighbors_batch(codes[absent])
+            vals = np.concatenate([vals, extra])
+            rows = np.concatenate([rows, np.repeat(absent, np.diff(extra_ptr))])
         order = np.lexsort((vals, rows))
         vals, rows = vals[order], rows[order]
         indptr = np.zeros(n + 1, dtype=np.int64)

@@ -11,7 +11,7 @@ from repro.io import (
     encode_quality,
     error_prob_to_phred,
 )
-from repro.kmer import MaskedKmerIndex, spectrum_from_reads
+from repro.kmer import spectrum_from_reads
 from repro.mapping import aligned_true_codes, map_reads
 from repro.mapreduce import MapReduceTask, Pipeline, run_task
 
@@ -58,30 +58,6 @@ def test_readset_validation_errors():
             lengths=np.array([4]),
             quals=np.zeros((1, 5), np.int16),
         )
-
-
-# -- masked index chunk choices -------------------------------------------------
-@pytest.mark.parametrize("c", [2, 3, 5, 11])
-def test_masked_index_exact_for_all_chunkings(c):
-    rng = np.random.default_rng(0)
-    seqs = ["".join("ACGT"[x] for x in rng.integers(0, 4, 11)) for _ in range(30)]
-    spec = spectrum_from_reads(ReadSet.from_strings(seqs), 11, both_strands=False)
-    from repro.kmer import ProbingNeighborIndex
-
-    idx = MaskedKmerIndex(spec.kmers, 11, d=1, c=c)
-    probe = ProbingNeighborIndex(spec, 1)
-    for code in spec.kmers[::7].tolist():
-        assert idx.neighbors(code).tolist() == probe.neighbors(code).tolist()
-
-
-def test_masked_index_include_self():
-    spec = spectrum_from_reads(
-        ReadSet.from_strings(["AAAAACGGGGG"]), 11, both_strands=False
-    )
-    idx = MaskedKmerIndex(spec.kmers, 11, d=1, c=4)
-    code = int(spec.kmers[0])
-    with_self = idx.neighbors(code, include_self=True)
-    assert code in with_self.tolist()
 
 
 # -- mapping corner cases --------------------------------------------------------
@@ -166,7 +142,7 @@ def test_count_histogram_thresholds_bimodal():
 
 # -- hybrid convenience ------------------------------------------------------------
 def test_hybrid_correct_convenience():
-    from repro.core import HybridCorrector
+    from repro.core.hybrid import HybridCorrector
     from repro.simulate import UniformErrorModel, random_genome, simulate_reads
 
     rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ weighted counts, SNP detection, hybrid corrector, gamma schedules."""
 import numpy as np
 import pytest
 
-from repro.core import HybridCorrector
+from repro.core.hybrid import HybridCorrector
 from repro.core.closet import cluster_at_thresholds
 from repro.core.redeem import (
     RedeemCorrector,

@@ -115,3 +115,16 @@ def test_freclu_no_errors_no_changes():
     )
     result = FrecluCorrector().correct(sample.reads)
     assert (result.reads.codes == sample.reads.codes).all()
+
+
+def test_freclu_tie_goes_to_the_first_neighbor_in_pattern_order():
+    """Two equally frequent distance-1 parents: the one the neighbor
+    index lists first wins, and the index lists rows in `xor_patterns`
+    order (leftmost position first), not by code.  Here the leftmost
+    substitution is the *larger* code, so a row sorted by index would
+    pick the other parent."""
+    child, left, right = "CAAAAAAA", "TAAAAAAA", "CAAAAAAC"
+    reads = ReadSet.from_strings([child] + [left] * 6 + [right] * 6)
+    result = FrecluCorrector().correct(reads)
+    assert result.reads.sequence(0) == left
+    assert sorted(result.corrected_counts().values()) == [6, 7]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.io import ReadSet
 from repro.kmer import (
-    MaskedKmerIndex,
+    KmerSpectrum,
     PrecomputedNeighborIndex,
     ProbingNeighborIndex,
     complete_neighbors,
@@ -104,45 +104,104 @@ def test_precomputed_include_self():
 
 
 def test_precomputed_absent_code_falls_back():
-    spec = _spectrum(["AAAAA"], 5)
+    spec = _spectrum(["AAAAA", "AAAAT", "CCCCC"], 5)
     pre = PrecomputedNeighborIndex(spec, 1)
-    nb = pre.neighbors(string_to_kmer("AAAAT"))
-    assert nb.tolist() == [string_to_kmer("AAAAA")]
+    nb = pre.neighbors(string_to_kmer("AAAAG"))
+    assert nb.tolist() == [string_to_kmer("AAAAA"), string_to_kmer("AAAAT")]
+    # A batch interleaving absent and present codes answers row by row
+    # like neighbors(): CSR rows for the present, probing for the absent.
+    queries = ["AAAAG", "AAAAA", "GGGGG", "CCCCA", "AAAAT", "AAAAC", "CCCCC"]
+    codes = np.array([string_to_kmer(q) for q in queries], dtype=np.uint64)
+    assert (spec.index_of(codes) >= 0).tolist() == [
+        False, True, False, False, True, False, True,
+    ]
+    for include_self in (False, True):
+        vals, indptr = pre.neighbors_batch(codes, include_self=include_self)
+        assert indptr.size == codes.size + 1 and indptr[-1] == vals.size
+        for i, code in enumerate(codes.tolist()):
+            row = vals[indptr[i] : indptr[i + 1]]
+            expected = pre.neighbors(code, include_self=include_self)
+            assert row.tolist() == expected.tolist()
 
 
-def test_masked_index_requires_sorted():
-    with pytest.raises(ValueError):
-        MaskedKmerIndex(np.array([3, 1], dtype=np.uint64), k=5, d=1)
+def _probe_oracle(spec, d, include_self):
+    """The adjacency by definition: probe ``code ^ xor_patterns`` row by
+    row and keep the hits in pattern order (self first if asked)."""
+    rows = []
+    for i, code in enumerate(spec.kmers):
+        idx = spec.index_of(code ^ xor_patterns(spec.k, d))
+        rows.append([i] * include_self + idx[idx >= 0].tolist())
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, [j for r in rows for j in r]
 
 
-def test_masked_index_parameter_validation():
-    kmers = np.array([0], dtype=np.uint64)
-    with pytest.raises(ValueError):
-        MaskedKmerIndex(kmers, k=5, d=2, c=2)
+def _assert_build_is_oracle(spec, d, include_self):
+    pre = PrecomputedNeighborIndex(spec, d, include_self=include_self)
+    indptr, indices = _probe_oracle(spec, d, include_self)
+    assert pre.indptr.dtype == pre.indices.dtype == np.int64
+    assert pre.indptr.tolist() == indptr.tolist()
+    assert pre.indices.tolist() == indices
+    assert pre.n_edges == len(indices)
+    return pre
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.text(alphabet="ACGT", min_size=12, max_size=12), min_size=3, max_size=30),
     st.integers(1, 2),
+    st.booleans(),
+    st.booleans(),
 )
-def test_masked_index_matches_probing(seqs, d):
-    """The masked-replica index is exact: it agrees with brute probing."""
+def test_masked_sort_build_matches_probe_oracle(seqs, d, include_self, clustered):
+    """The masked-sort CSR equals probing every pattern of every k-mer,
+    row order included."""
     k = 12
+    if clustered:
+        # Independent random 12-mers are rarely neighbors; squeeze them
+        # onto a 3-letter, 4-position family so rows fill up.
+        seqs = ["ACGTACGT" + s[:4].replace("T", "A") for s in seqs]
+    _assert_build_is_oracle(_spectrum(seqs, k), d, include_self)
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize(
+    "seqs,k,d",
+    [
+        ([], 5, 1),  # empty spectrum
+        (["ACGTA"], 5, 1),  # one k-mer
+        (["ACGTA"], 5, 2),
+        # A full run: all 4 (16) k-mers that agree outside 1 (2) positions.
+        (["AC" + x + "TA" for x in "ACGT"], 5, 1),
+        (["A" + x + "G" + y + "A" for x in "ACGT" for y in "ACGT"], 5, 2),
+        (["A" + x + "G" + y + "A" for x in "ACGT" for y in "ACGT"], 5, 1),
+        (["ACGTA", "ACGTC", "TTTTT"], 5, 0),  # d = 0: no neighbors but self
+        (["ACG", "ACT", "TTT", "TGT"], 3, 5),  # d > k is the whole spectrum
+    ],
+)
+def test_masked_sort_build_explicit_cases(seqs, k, d, include_self):
     spec = _spectrum(seqs, k)
-    masked = MaskedKmerIndex(spec.kmers, k=k, d=d, c=max(d + 1, 4))
+    assert spec.n_kmers == len(set(seqs))
+    pre = _assert_build_is_oracle(spec, d, include_self)
     probe = ProbingNeighborIndex(spec, d)
-    for code in spec.kmers[:: max(1, spec.n_kmers // 5)].tolist():
-        a = masked.neighbors(code).tolist()
-        b = probe.neighbors(code).tolist()
-        assert a == b
+    for code in spec.kmers.tolist():
+        for want_self in (False, True):
+            assert (
+                pre.neighbors(code, include_self=want_self).tolist()
+                == probe.neighbors(code, include_self=want_self).tolist()
+            )
 
 
-def test_masked_index_memory_reporting():
-    spec = _spectrum(["ACGTACGTACGT"], 12)
-    idx = MaskedKmerIndex(spec.kmers, k=12, d=1, c=4)
-    assert idx.n_replicas == 4
-    assert idx.memory_bytes() > 0
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_masked_sort_build_k32(d, include_self):
+    """k = 32 is past what the string packers accept but not past the
+    index: the keep-mask is all 64 bits and position 0 is bits 62-63."""
+    top, ones = 1 << 62, (1 << 64) - 1
+    codes = [0, 1, top, top | 1, 3 * top, ones, ones ^ 2, ones ^ (2 * top)]
+    kmers = np.array(sorted(codes), dtype=np.uint64)
+    spec = KmerSpectrum(32, kmers, np.ones(kmers.size, dtype=np.int64))
+    pre = _assert_build_is_oracle(spec, d, include_self)
+    assert np.diff(pre.indptr).min() >= 1 + include_self  # no empty row
 
 
 def test_neighborhood_size_formula():

@@ -1,5 +1,10 @@
 """Tests for the command-line tools (in-process main() invocation)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +74,34 @@ def test_correct_tool_hybrid(dataset_dir, tmp_path):
         ]
     )
     assert rc == 0
+    assert out.exists()
+
+
+def test_reptile_correct_never_imports_scipy(dataset_dir, tmp_path):
+    """`repro correct --method reptile` is numpy-only: scipy (REDEEM,
+    CLOSET, hybrid) loads when one of those is asked for, not before.
+    A fresh interpreter, because this test process has scipy loaded."""
+    script = (
+        "import sys\n"
+        "from repro.tools.correct import main\n"
+        "rc = main([sys.argv[1], sys.argv[2], '--method', 'reptile',"
+        " '--genome-length', '5000'])\n"
+        "assert rc == 0, rc\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "reptile.fastq"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(dataset_dir / "reads.fastq"), str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
 
