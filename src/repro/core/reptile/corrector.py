@@ -51,6 +51,12 @@ from .read_correct import (
     valid_walk_positions,
 )
 
+#: Most candidate (first, second) constituent pairs one vectorised
+#: enumerate -> lookup -> evaluate pass of :meth:`ReptileCorrector.
+#: _bulk_rules` may materialise: bounds the walk precompute's
+#: temporaries whatever ``d``, coverage or the caller's chunking.
+MAX_RULE_PAIRS = 1 << 20
+
 
 def _rule_valid(rules, codes: np.ndarray, og: np.ndarray) -> np.ndarray:
     """Boolean mask: window is unambiguous and its bulk rule is VALID."""
@@ -273,17 +279,41 @@ class ReptileCorrector(ChunkedCorrectorMixin):
                 nb1_vals = np.empty(0, dtype=np.uint64)
                 nb1_indptr = np.zeros(a1.size + 1, dtype=np.int64)
             nb2_vals, nb2_indptr = nb_batch(a2)
-            mutants, tidx = enumerate_mutant_tiles_batch(
-                sub, nb1_vals, nb1_indptr, nb2_vals, nb2_indptr,
-                p.k, p.overlap,
+            # The cross product below holds ~12 int64/uint64 temporaries
+            # per candidate pair, and pairs grow as (neighbours + 1)^2 per
+            # tile — 6 x 10^7 for a few thousand reads at d = 2 — so it
+            # runs in slabs of at most MAX_RULE_PAIRS pairs (one tile may
+            # exceed that alone).  Rules are per tile: slabbing cannot
+            # change one.
+            where = np.flatnonzero(need)
+            uog_sub = uog[where]
+            cum = np.cumsum(
+                (np.diff(nb1_indptr) + 1) * (np.diff(nb2_indptr) + 1)
             )
-            _, og_m = self.tiles.lookup(mutants)
-            d_s, n_s, g_s = evaluate_tiles_batch(
-                sub, uog[need], mutants, og_m, tidx, p.cg, p.cm, p.cr
-            )
-            decisions[need] = d_s
-            new_tiles[need] = n_s
-            gated[need] = g_s
+            lo = 0
+            while lo < sub.size:
+                done = int(cum[lo - 1]) if lo else 0
+                hi = max(
+                    int(np.searchsorted(cum, done + MAX_RULE_PAIRS, "right")),
+                    lo + 1,
+                )
+                tiles = sub[lo:hi]
+                s1, s2 = nb1_indptr[lo : hi + 1], nb2_indptr[lo : hi + 1]
+                mutants, tidx = enumerate_mutant_tiles_batch(
+                    tiles,
+                    nb1_vals[s1[0] : s1[-1]], s1 - s1[0],
+                    nb2_vals[s2[0] : s2[-1]], s2 - s2[0],
+                    p.k, p.overlap,
+                )
+                _, og_m = self.tiles.lookup(mutants)
+                rows = where[lo:hi]
+                decisions[rows], new_tiles[rows], gated[rows] = (
+                    evaluate_tiles_batch(
+                        tiles, uog_sub[lo:hi], mutants, og_m, tidx,
+                        p.cg, p.cm, p.cr,
+                    )
+                )
+                lo = hi
         return utiles, decisions, new_tiles, gated, uog
 
     def _seed_memo(self, rules, d1: int) -> None:

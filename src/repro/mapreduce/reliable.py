@@ -417,8 +417,9 @@ def call_with_retries(
 
 
 # -- CLI surface --------------------------------------------------------------
-def add_reliability_flags(parser) -> None:
-    """Attach the shared fault-tolerance flag group to an ArgumentParser."""
+def add_reliability_flags(parser):
+    """Attach the shared fault-tolerance flag group to an ArgumentParser;
+    returns the group, for a tool with a flag of its own to file there."""
     g = parser.add_argument_group("fault tolerance")
     g.add_argument(
         "--max-retries", type=int, default=None,
@@ -442,11 +443,7 @@ def add_reliability_flags(parser) -> None:
         "--retry-seed", type=int, default=0,
         help="seed for deterministic backoff jitter",
     )
-    g.add_argument(
-        "--checkpoint-dir", default=None,
-        help="directory for stage checkpoints; reruns resume from the "
-             "last completed stage",
-    )
+    return g
 
 
 def policy_from_args(args) -> RetryPolicy | None:

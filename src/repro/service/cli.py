@@ -15,9 +15,10 @@ The operator surface of the service, now a thin skin over
 ``--url BASE`` sends the same verbs to a ``repro serve-http`` server —
 output is identical either way, because both paths run the same
 :class:`~repro.service.http.ServiceAPI` verbs and ``repro-job/1``
-envelopes.  ``submit`` mirrors the ``repro correct`` flag surface (a
-job spec *is* a serialized correct invocation); the remaining verbs
-are single service calls, safe to run while workers are live.
+envelopes.  ``submit`` takes ``repro correct``'s spec-backed flags
+(:data:`repro.tools.job.SPEC_FLAGS` — a job spec *is* a serialized
+correct invocation); the remaining verbs are single service calls,
+safe to run while workers are live.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import json
 import sys
 from pathlib import Path
 
-from ..core.api import available_methods
-from ..tools.common import memory_size
+from ..tools.job import SPEC_FLAGS, add_spec_flags, spec_from_args
 from .client import HTTPTransport, JobsClient, LocalTransport, \
     ServiceError, TransportError
-from .spec import DEFAULT_TENANT, JobSpec
+from .spec import DEFAULT_TENANT
 from .store import STATES
 from .worker import SpoolError
 
@@ -55,23 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     s = sub.add_parser("submit", help="enqueue one correction job")
-    s.add_argument("input", help="input FASTQ")
-    s.add_argument("output", help="corrected FASTQ destination")
-    s.add_argument("--method", choices=available_methods(),
-                   default="reptile")
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--genome-length", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--chunk-size", type=int, default=2048)
-    s.add_argument("--stream", action="store_true",
-                   help="out-of-core three-pass correction with "
-                        "block-granular crash recovery")
-    s.add_argument("--max-memory", type=memory_size, default=None,
-                   metavar="SIZE",
-                   help="bound phase-1 k-mer memory, spilling to disk "
-                        "(implies --stream)")
-    s.add_argument("--on-error", choices=["raise", "skip"],
-                   default="raise")
+    add_spec_flags(s, *SPEC_FLAGS)
     s.add_argument("--report", default=None,
                    help="write a repro-run-report/1 JSON here on finish")
     s.add_argument("--max-attempts", type=int, default=3,
@@ -131,39 +115,6 @@ def _render(record) -> str:
     )
 
 
-def _build_spec(args: argparse.Namespace) -> JobSpec | None:
-    """The submit verb's JobSpec, or None after printing a clear error."""
-    stream = args.stream or args.max_memory is not None
-    if stream and args.method != "reptile":
-        # Surface the implication before JobSpec.validate turns it
-        # into a confusing "stream jobs ..." rejection for a user
-        # who never passed --stream.
-        lead = (
-            "--stream supports" if args.stream
-            else "--max-memory implies --stream, which supports"
-        )
-        print(
-            f"error: {lead} the reptile method only "
-            f"(got --method {args.method})",
-            file=sys.stderr,
-        )
-        return None
-    return JobSpec(
-        input=args.input,
-        output=args.output,
-        method=args.method,
-        k=args.k,
-        genome_length=args.genome_length,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        stream=stream,
-        max_memory=args.max_memory,
-        on_error=args.on_error,
-        report=args.report,
-        labels=_parse_labels(args.label),
-    )
-
-
 def _client_for(args: argparse.Namespace) -> JobsClient:
     if args.url is not None:
         return JobsClient(HTTPTransport(args.url))
@@ -194,8 +145,12 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace, client: JobsClient) -> int:
     """Execute one verb through the client."""
     if args.verb == "submit":
-        spec = _build_spec(args)
-        if spec is None:
+        try:
+            spec = spec_from_args(
+                args, report=args.report, labels=_parse_labels(args.label)
+            )
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
             return 2
         try:
             job = client.submit(

@@ -1,14 +1,12 @@
-"""Job specifications: what one durable correction job should do.
+"""The ``repro-job/1`` wire schema around a :class:`JobSpec`.
 
-A :class:`JobSpec` is the JSON payload stored in the job store's
-``spec`` column — everything the serve worker needs to run one
-correction through the :mod:`repro.core.api` registry, and nothing
-about *how* the run is scheduled (states, attempts, and leases belong
-to :mod:`repro.service.store`).  Specs are deliberately plain data:
-a job submitted today must still execute after a daemon restart, a
-code upgrade, or under a different worker process on the spool host.
+A :class:`~repro.tools.job.JobSpec` (re-exported here) is the JSON
+payload stored in the job store's ``spec`` column — everything
+:func:`repro.tools.job.run_job` needs to run one correction, and
+nothing about *how* the run is scheduled (states, attempts, and leases
+belong to :mod:`repro.service.store`).
 
-This module also owns the **``repro-job/1`` wire schema**: the
+This module owns the **``repro-job/1`` wire schema**: the
 versioned JSON documents the HTTP API (:mod:`repro.service.http`), the
 client (:mod:`repro.service.client`), and the store all round-trip
 through.  Every wire document is an *envelope* —
@@ -26,19 +24,11 @@ human-readable problems, and is exposed on the command line as
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..io.atomic import update_hash_from_file
-
-#: The only job kind today; the field exists so periodic-ingest or
-#: cluster jobs can join the same store without a schema change.
-KIND_CORRECT = "correct"
-
-_VALID_ON_ERROR = ("raise", "skip")
+from ..tools.job import JobSpec
 
 #: Version tag carried by every wire document (requests *and*
 #: responses); bump only with a parallel ``repro-job/2`` validator.
@@ -64,103 +54,6 @@ def validate_tenant(name: str) -> str:
             f"tenant must match {_TENANT_RE.pattern}, got {name!r}"
         )
     return name
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One correction job: input FASTQ -> corrected FASTQ (+ report).
-
-    Mirrors the ``repro correct`` CLI surface so ``repro jobs submit``
-    and a direct command line describe identical work.
-    """
-
-    input: str
-    output: str
-    kind: str = KIND_CORRECT
-    method: str = "reptile"
-    k: int | None = None
-    genome_length: int | None = None
-    workers: int = 1
-    chunk_size: int = 2048
-    stream: bool = False
-    max_memory: int | None = None
-    on_error: str = "raise"
-    #: Optional repro-run-report/1 JSON artifact path.
-    report: str | None = None
-    #: Free-form labels (tenant, experiment id, ...) carried verbatim.
-    labels: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.kind != KIND_CORRECT:
-            raise ValueError(f"unknown job kind {self.kind!r}")
-        if not self.input or not self.output:
-            raise ValueError("job spec needs both input and output paths")
-        if self.on_error not in _VALID_ON_ERROR:
-            raise ValueError(
-                f"on_error must be one of {_VALID_ON_ERROR}, "
-                f"got {self.on_error!r}"
-            )
-        if self.workers < 1 or self.chunk_size < 1:
-            raise ValueError("workers and chunk_size must be >= 1")
-        if self.stream and self.method != "reptile":
-            raise ValueError(
-                f"stream jobs support the reptile method only "
-                f"(got {self.method!r})"
-            )
-
-    # -- serialization ------------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(
-                f"unknown job-spec field(s): {', '.join(sorted(unknown))}"
-            )
-        spec = cls(**d)
-        spec.validate()
-        return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("job spec JSON must be an object")
-        return cls.from_dict(data)
-
-    # -- identity -----------------------------------------------------
-    def fingerprint(self) -> str:
-        """Spec + input-content hash: the resume key for checkpoints.
-
-        A checkpoint written for one (spec, input bytes) pair must
-        never seed the resume of a different one — a changed input
-        file or flag silently producing a spliced output would violate
-        the byte-identical guarantee.  Missing inputs hash as absent
-        (the job will fail with a clear error at run time instead).
-        """
-        h = hashlib.sha256(self.to_json().encode("utf-8"))
-        update_hash_from_file(h, self.input)
-        return h.hexdigest()
-
-    def input_fingerprint(self) -> str:
-        """Content hash of the input file alone (no spec fields).
-
-        The warm-pool key: two jobs whose *inputs* are identical can
-        share a fitted spectrum even when their output paths, worker
-        counts, or report destinations differ.  Fields that change the
-        fitted structures (k, method, genome_length, ...) are keyed
-        separately by :meth:`repro.service.pool.SpectrumPool.key_for`.
-        Missing inputs hash as absent, matching :meth:`fingerprint`.
-        """
-        h = hashlib.sha256()
-        update_hash_from_file(h, self.input)
-        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="raise",
         help="skip (and count) malformed FASTQ records instead of aborting",
     )
-    add_reliability_flags(p)
+    add_reliability_flags(p).add_argument(
+        "--checkpoint-dir", default=None,
+        help="directory for stage checkpoints; reruns resume from the "
+             "last completed stage",
+    )
     add_telemetry_flags(p)
     return p
 

@@ -4,9 +4,10 @@ All four tools compose their parsers from the same flag groups:
 
 - **reliability** — re-exported from
   :func:`repro.mapreduce.reliable.add_reliability_flags`;
-- **parallel execution** — :func:`add_parallel_flags`
-  (``--workers`` / ``--chunk-size`` / ``--backend`` / ``--shards``,
-  with argparse-level ``>= 1`` validation);
+- **parallel execution** — ``--workers`` / ``--chunk-size`` are two of
+  :data:`repro.tools.job.SPEC_FLAGS`; :func:`add_backend_flags` adds
+  ``--backend`` / ``--shards`` beside them (argparse-level ``>= 1``
+  validation throughout);
 - **telemetry** — :func:`add_telemetry_flags`
   (``--report`` / ``--progress`` / ``--profile`` /
   ``--heartbeat-interval``) plus :func:`telemetry_session`, the
@@ -26,7 +27,7 @@ from ..mapreduce.reliable import add_reliability_flags, policy_from_args
 __all__ = [
     "positive_int",
     "memory_size",
-    "add_parallel_flags",
+    "add_backend_flags",
     "backend_from_args",
     "add_telemetry_flags",
     "add_reliability_flags",
@@ -76,25 +77,15 @@ def memory_size(text: str) -> int:
     return value
 
 
-def add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared parallel-execution flag group."""
-    g = parser.add_argument_group("parallel execution")
-    g.add_argument(
-        "--workers", type=positive_int, default=1,
-        help="correction worker processes sharing one spectrum "
-             "(1 = serial; requires a fork platform to parallelize)",
-    )
-    g.add_argument(
-        "--chunk-size", type=positive_int, default=2048,
-        help="reads per correction task",
-    )
-    g.add_argument(
+def add_backend_flags(group) -> None:
+    """Attach ``--backend`` / ``--shards`` to the parallel-execution group."""
+    group.add_argument(
         "--backend", choices=["threads", "fork", "socket"], default="fork",
         help="execution substrate for the chunk loop (default: fork); "
              "'socket' runs separate worker processes owning spectrum "
              "shards",
     )
-    g.add_argument(
+    group.add_argument(
         "--shards", type=positive_int, default=None,
         help="spectrum shards for --backend socket "
              "(default: one per worker)",

@@ -530,6 +530,7 @@ _REP204_POSITIVE = (
     "path,should_fire",
     [
         ("src/repro/tools/correct.py", True),
+        ("src/repro/tools/job.py", True),        # the shared job driver
         ("src/repro/service/runner.py", True),
         ("src/repro/kmer/external.py", False),   # library spill files
         ("src/repro/io/atomic.py", False),       # the atomic layer itself

@@ -1,5 +1,10 @@
 """Integration tests: ReptileCorrector end to end on simulated data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +111,44 @@ def test_short_reads_passthrough():
     tiny = ReadSet.from_strings(["ACGT"])  # shorter than a tile
     out = c.correct(tiny)
     assert out.sequences() == ["ACGT"]
+
+
+_D2_RSS_SCRIPT = """
+import resource
+import numpy as np
+from repro.core.reptile import ReptileCorrector, corrector
+from repro.simulate import UniformErrorModel, random_genome, simulate_reads
+
+rng = np.random.default_rng(3)
+sim = simulate_reads(
+    random_genome(3000, rng), 36, UniformErrorModel(36, 0.02), rng,
+    coverage=30.0,
+)
+c = ReptileCorrector.fit(sim.reads, k=8, d=2)
+some = sim.reads.subset(np.arange(80))
+out = c.correct(some)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+# Slab boundaries are invisible: many more, much smaller slabs (with a
+# cold memo) decide every tile the same way.
+corrector.MAX_RULE_PAIRS = 1 << 14
+few = np.arange(16)
+again = ReptileCorrector(c.params, c.spectrum, c.tiles).correct(some.subset(few))
+assert (again.codes == out.codes[few]).all()
+"""
+
+
+def test_d2_rule_precompute_is_memory_bounded(tmp_path):
+    """Dense small-k spectrum at d = 2: 80 reads ask for 7.2 M candidate
+    constituent pairs.  Enumerated in one piece that peaked at 2.6 GB
+    (and is what OOM-killed Table 2.3); in ``MAX_RULE_PAIRS`` slabs it
+    stays under 0.6 GB."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _D2_RSS_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[0])
+    assert peak_mb < 1024, f"peak RSS {peak_mb} MiB"

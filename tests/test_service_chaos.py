@@ -27,12 +27,9 @@ import pytest
 
 from repro.service import DB_NAME, PENDING, SUCCEEDED, JobStore
 from repro.service.cli import main as jobs_main
-from repro.service.runner import (
-    checkpoint_path,
-    job_workdir,
-    latest_checkpoint,
-)
+from repro.service.runner import job_workdir
 from repro.tools.correct import main as correct_main
+from repro.tools.job import checkpoint_path, latest_checkpoint
 from repro.tools.simulate import main as simulate_main
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]

@@ -13,6 +13,11 @@ cheap to stage exactly:
 - a partial with no covering checkpoint (killed before the first
   block became durable) is discarded, never wedging retries;
 - a checkpoint whose fingerprint no longer matches is ignored.
+
+``repro correct`` runs the same :func:`repro.tools.job.run_job` body
+without a store, so the last tests pin the two callers to each other:
+same bytes, same result row, and the CLI's streamed output staged (and
+cleaned up) like a stream job's.
 """
 
 from __future__ import annotations
@@ -26,15 +31,11 @@ from repro.mapreduce.faults import (
     InjectedFault,
     reset_fault_points,
 )
-from repro.service.runner import (
-    checkpoint_path,
-    execute_job,
-    latest_checkpoint,
-    partial_path,
-)
+from repro.service.runner import execute_job
 from repro.service.spec import JobSpec
 from repro.service.store import JobRecord
 from repro.tools.correct import main as correct_main
+from repro.tools.job import checkpoint_path, latest_checkpoint, partial_path
 from repro.tools.simulate import main as simulate_main
 
 
@@ -59,10 +60,9 @@ def stream_reference(dataset, tmp_path_factory):
     return out.read_bytes()
 
 
-def _record(dataset, output, claim_seq) -> JobRecord:
-    spec = JobSpec(
-        input=str(dataset), output=str(output), stream=True, chunk_size=32
-    )
+def _record(dataset, output, claim_seq, **fields) -> JobRecord:
+    fields = {"stream": True, "chunk_size": 32, **fields}
+    spec = JobSpec(input=str(dataset), output=str(output), **fields)
     return JobRecord(
         id="job-000001", spec=spec, state="running", attempts=claim_seq,
         claim_seq=claim_seq, max_attempts=9, not_before=0.0,
@@ -218,3 +218,74 @@ def test_stream_job_and_cli_share_one_streamed_fit(
     assert job.tiles.n_tiles == cli.tiles.n_tiles
     assert job_meta["n_reads"] == cli_meta["n_reads"]
     assert output.read_bytes() == cli_out.read_bytes() == stream_reference
+
+
+RESULT_KEYS = {
+    "reads", "bases_changed", "resumed_reads", "pool_hit",
+    "skipped_records", "truncated_records",
+}
+
+
+@pytest.mark.parametrize(
+    "flags,fields",
+    [
+        ((), {"stream": False, "chunk_size": 2048}),
+        (("--stream", "--chunk-size", "32"), {}),
+        (("--method", "redeem"),
+         {"stream": False, "chunk_size": 2048, "method": "redeem"}),
+    ],
+    ids=["reptile-batch", "reptile-stream", "redeem-batch"],
+)
+def test_cli_and_service_job_write_the_same_bytes(
+    dataset, tmp_path, flags, fields
+):
+    cli_out = tmp_path / "cli.fastq"
+    assert correct_main([str(dataset), str(cli_out), *flags]) == 0
+    output = tmp_path / "job.fastq"
+    result = execute_job(
+        _record(dataset, output, 1, **fields), tmp_path / "work"
+    )
+    assert output.read_bytes() == cli_out.read_bytes()
+    assert set(result) == RESULT_KEYS
+    assert result["reads"] == cli_out.read_bytes().count(b"\n") // 4
+
+
+def test_cli_stream_fault_leaves_no_output_and_no_workdir(
+    dataset, stream_reference, tmp_path, monkeypatch
+):
+    outdir = tmp_path / "out"
+    argv = [
+        str(dataset), str(outdir / "killed.fastq"),
+        "--stream", "--chunk-size", "32",
+    ]
+    monkeypatch.setenv(FAULT_POINTS_ENV, "service.block=raise@2")
+    reset_fault_points()
+    with pytest.raises(InjectedFault):
+        correct_main(argv)
+    monkeypatch.delenv(FAULT_POINTS_ENV)
+    reset_fault_points()
+    assert list(outdir.iterdir()) == []
+
+    assert correct_main(argv) == 0
+    assert [p.name for p in outdir.iterdir()] == ["killed.fastq"]
+    assert (outdir / "killed.fastq").read_bytes() == stream_reference
+
+
+def test_skip_tallies_reach_the_job_report(dataset, tmp_path):
+    """``on_error="skip"`` counts land in the result row *and* in the
+    job's ``--report``, as they do for ``repro correct``."""
+    broken = tmp_path / "broken.fastq"
+    lines = dataset.read_text().splitlines()
+    lines[4 * 5 + 3] = lines[4 * 5 + 3][:-3]  # quality shorter than bases
+    broken.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "job.json"
+    result = execute_job(
+        _record(
+            broken, tmp_path / "out.fastq", 1,
+            stream=False, on_error="skip", report=str(report),
+        ),
+        tmp_path / "work",
+    )
+    assert result["skipped_records"] == 1
+    counters = json.loads(report.read_text())["counters"]
+    assert counters["skipped_records"] == 1

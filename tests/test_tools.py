@@ -79,15 +79,20 @@ def test_correct_tool_hybrid(dataset_dir, tmp_path):
 
 def test_reptile_correct_never_imports_scipy(dataset_dir, tmp_path):
     """`repro correct --method reptile` is numpy-only: scipy (REDEEM,
-    CLOSET, hybrid) loads when one of those is asked for, not before.
-    A fresh interpreter, because this test process has scipy loaded."""
+    CLOSET, hybrid) loads when one of those is asked for, not before —
+    and the job driver it shares with the serve worker pulls in none of
+    the service (store, HTTP front end), in memory or streamed.
+    A fresh interpreter, because this test process has them loaded."""
     script = (
         "import sys\n"
         "from repro.tools.correct import main\n"
-        "rc = main([sys.argv[1], sys.argv[2], '--method', 'reptile',"
-        " '--genome-length', '5000'])\n"
-        "assert rc == 0, rc\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "for extra in ([], ['--stream']):\n"
+        "    rc = main([sys.argv[1], sys.argv[2], '--method', 'reptile',"
+        " '--genome-length', '5000', *extra])\n"
+        "    assert rc == 0, rc\n"
+        "absent = ('scipy', 'repro.service', 'sqlite3', 'http.server')\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith(absent))\n"
         "assert not loaded, loaded[:5]\n"
     )
     env = dict(os.environ)
@@ -103,39 +108,6 @@ def test_reptile_correct_never_imports_scipy(dataset_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
-
-
-def test_correct_checkpoint_keyed_on_input_bytes(dataset_dir, tmp_path, capsys):
-    """A second FASTQ with the same bases but other names and
-    qualities must not resume the first file's checkpoint."""
-    first = dataset_dir / "reads.fastq"
-    lines = first.read_text().splitlines()
-    for i in range(0, len(lines), 4):
-        lines[i] = f"@other{i // 4}"
-        lines[i + 3] = "I" * len(lines[i + 3])
-    second = tmp_path / "second.fastq"
-    second.write_text("\n".join(lines) + "\n")
-    ckpt = tmp_path / "ckpt"
-
-    def run(src, name, *extra):
-        out = tmp_path / name
-        args = [str(src), str(out), "--genome-length", "5000", *extra]
-        assert correct_main(args) == 0
-        return out.read_bytes(), capsys.readouterr().out
-
-    ckpt_args = ("--checkpoint-dir", str(ckpt))
-    first_bytes, log = run(first, "a.fastq", *ckpt_args)
-    assert "resumed" not in log
-    again, log = run(first, "b.fastq", *ckpt_args)
-    assert "resumed corrected reads from checkpoint" in log
-    assert again == first_bytes
-    fresh, _ = run(second, "fresh.fastq")
-    second_bytes, log = run(second, "c.fastq", *ckpt_args)
-    assert "resumed" not in log
-    assert second_bytes == fresh != first_bytes
-    # A flag that changes the parse keys the checkpoint too.
-    _, log = run(first, "d.fastq", *ckpt_args, "--on-error", "skip")
-    assert "resumed" not in log
 
 
 def test_assemble_tool(dataset_dir, tmp_path, capsys):

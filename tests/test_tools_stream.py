@@ -127,7 +127,6 @@ def test_max_memory_implies_stream(dataset_dir, tmp_path, mem_output):
     [
         ("--method", "redeem"),
         ("--truth", "SENTINEL"),
-        ("--checkpoint-dir", "SENTINEL"),
     ],
 )
 def test_stream_rejects_unsupported_flags(dataset_dir, tmp_path, extra):
