@@ -186,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files/directories to lint (default: src tests benchmarks "
-        "examples, whichever exist)",
+        help="files/directories to lint (default: src tests examples, "
+        "whichever exist)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -276,13 +276,13 @@ def _main(argv: list[str] | None = None) -> int:
     else:
         paths = [
             p
-            for p in ("src", "tests", "benchmarks", "examples")
+            for p in ("src", "tests", "examples")
             if Path(p).is_dir()
         ]
         if not paths:
             print(
-                "repro lint: no default paths found (src/tests/benchmarks/"
-                "examples); pass paths explicitly",
+                "repro lint: no default paths found (src/tests/examples); "
+                "pass paths explicitly",
                 file=sys.stderr,
             )
             return 2

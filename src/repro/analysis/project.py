@@ -74,7 +74,7 @@ class ProjectContext:
     """Import graph + symbol index over every module in a lint run."""
 
     def __init__(self, modules: Iterable[ModuleInfo]) -> None:
-        #: Every parsed file, in path order (includes tests/benchmarks).
+        #: Every parsed file, in path order (includes tests).
         self.files: list[ModuleInfo] = sorted(
             modules, key=lambda m: m.path
         )

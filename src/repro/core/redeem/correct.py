@@ -89,13 +89,14 @@ def correct_reads(
     reads: ReadSet,
     liberal_threshold: float,
     detection_threshold: float | None = None,
-) -> tuple[ReadSet, int]:
+) -> tuple[ReadSet, int, int]:
     """Correct flagged reads by per-base posterior vote.
 
     ``detection_threshold`` marks which k-mers count as erroneous
     (alpha = 0) when acting as posterior sources; it defaults to the
     liberal screening threshold.  Returns ``(corrected_copy,
-    n_bases_changed)``.
+    n_bases_changed, n_flagged_reads)``; the flag count is the one
+    screening pass per call, so callers never screen again.
     """
     if detection_threshold is None:
         detection_threshold = liberal_threshold
@@ -103,8 +104,9 @@ def correct_reads(
     out = reads.copy()
     flags = flag_suspicious_reads(model, reads, liberal_threshold)
     flagged = np.flatnonzero(flags)
-    if flagged.size == 0:
-        return out, 0
+    n_flagged = int(flagged.size)
+    if n_flagged == 0:
+        return out, 0, 0
 
     # Collect the distinct k-mers appearing in flagged reads.
     per_read: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -122,7 +124,7 @@ def correct_reads(
         per_read.append((i, idx, codes_row))
         all_idx.append(idx[idx >= 0])
     if not all_idx:
-        return out, 0
+        return out, 0, n_flagged
     uniq = np.unique(np.concatenate(all_idx))
     posteriors = position_base_posteriors(
         model, uniq, detection_threshold=detection_threshold
@@ -150,4 +152,4 @@ def correct_reads(
         if change.any():
             out.codes[i, :ln][change] = best[change]
             n_changed += int(change.sum())
-    return out, n_changed
+    return out, n_changed, n_flagged

@@ -26,7 +26,7 @@ from ...io.readset import ReadSet
 from ...kmer.spectrum import KmerSpectrum, spectrum_from_reads
 from ..api import ChunkedCorrectorMixin
 from ..hotpath import PREFILTER_FP_RATE
-from .correct import correct_reads, flag_suspicious_reads
+from .correct import correct_reads
 from .em import RedeemModel, estimate_attempts
 from .error_model import KmerErrorModel, uniform_kmer_error_model
 from .threshold import MixtureFit, infer_threshold
@@ -67,9 +67,13 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         with quality-weighted q-mer counts (Chapter 5 extension),
         ignored when the reads carry no scores.
 
-        The Bloom prefilter is attached to the spectrum before the EM
-        so the misread-matrix adjacency build (the ``index_of`` storm
-        over every candidate neighborhood) rides it.
+        The Bloom prefilter is attached to the spectrum for the
+        correction pass, not for the EM: the misread-graph adjacency
+        comes from the masked sort, which never calls ``index_of``.
+        The caller it serves is ``flag_suspicious_reads``' one
+        whole-chunk lookup of every read k-mer; ``correct_reads``'
+        per-read lookups ride it only when a read has at least
+        ``MIN_PREFILTER_BATCH`` k-mers.
         """
         if error_model is None:
             error_model = uniform_kmer_error_model(k, 0.01)
@@ -151,8 +155,7 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         thr, fit = self.infer_threshold()
         if liberal_threshold is None:
             liberal_threshold = max(thr, 0.5 * fit.coverage_peak)
-        flags = flag_suspicious_reads(self.model, reads, liberal_threshold)
-        corrected, n_changed = correct_reads(
+        corrected, n_changed, n_flagged = correct_reads(
             self.model,
             reads,
             liberal_threshold,
@@ -161,7 +164,7 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         return corrected, {
             "liberal_threshold": float(liberal_threshold),
             "detection_threshold": float(thr),
-            "n_flagged_reads": int(flags.sum()),
+            "n_flagged_reads": n_flagged,
             "n_bases_changed": int(n_changed),
         }
 
@@ -176,11 +179,10 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         """
         thr, fit = self.infer_threshold()
         liberal = max(thr, 0.5 * fit.coverage_peak)
-        flags = flag_suspicious_reads(self.model, reads, liberal)
-        corrected, n_changed = correct_reads(
+        corrected, n_changed, n_flagged = correct_reads(
             self.model, reads, liberal, detection_threshold=thr
         )
         return corrected, {
-            "flagged_reads": int(flags.sum()),
+            "flagged_reads": n_flagged,
             "bases_changed": int(n_changed),
         }

@@ -1,5 +1,6 @@
 """Experiment runners reproducing every table and figure of the
-dissertation's evaluation (see DESIGN.md for the experiment index)."""
+dissertation's evaluation, declared as one grid in :mod:`.grid` (see
+DESIGN.md for the experiment index)."""
 
 from . import chapter2, chapter3, chapter4
 from .datasets import (

@@ -1,8 +1,7 @@
 """Experiment runners for Chapter 2 (Reptile): Tables 2.1–2.4, Fig 2.3.
 
 Every function returns a list of row dicts mirroring the paper table's
-columns; benchmarks time them and print via
-:func:`repro.eval.format_table`.
+columns; :mod:`repro.experiments.grid` declares their cells and floors.
 """
 
 from __future__ import annotations
@@ -88,10 +87,7 @@ def _score_correction(ds: Chapter2Dataset, corrected) -> dict:
 
 
 def run_table_2_3(
-    datasets: dict[str, Chapter2Dataset],
-    reptile_d: tuple[int, ...] = (1, 2),
-    include_shrec: bool = True,
-    max_reads: int | None = None,
+    datasets: dict[str, Chapter2Dataset], max_reads: int | None = None
 ) -> list[dict]:
     """Reptile vs SHREC correction quality, time and memory (Table 2.3).
 
@@ -110,27 +106,26 @@ def run_table_2_3(
         else:
             reads_sub, true_sub = reads, true
 
-        if include_shrec:
-            t0 = time.perf_counter()
-            level = min(17, 2 * _k_for(ds) - 1)
-            shrec = ShrecCorrector(
-                reads,
-                ShrecParams(
-                    levels=(level,),
-                    alpha=4.0,
-                    genome_length=ds.sim.genome.length,
-                ),
-            )
-            out = shrec.correct(reads_sub)
-            secs = time.perf_counter() - t0
-            m = evaluate_correction(
-                reads_sub.codes, out.codes, true_sub, lengths=reads_sub.lengths
-            )
-            rows.append(
-                {"data": name, "method": "SHREC", **m.as_dict(), "seconds": round(secs, 2)}
-            )
+        t0 = time.perf_counter()
+        level = min(17, 2 * _k_for(ds) - 1)
+        shrec = ShrecCorrector(
+            reads,
+            ShrecParams(
+                levels=(level,),
+                alpha=4.0,
+                genome_length=ds.sim.genome.length,
+            ),
+        )
+        out = shrec.correct(reads_sub)
+        secs = time.perf_counter() - t0
+        m = evaluate_correction(
+            reads_sub.codes, out.codes, true_sub, lengths=reads_sub.lengths
+        )
+        rows.append(
+            {"data": name, "method": "SHREC", **m.as_dict(), "seconds": round(secs, 2)}
+        )
 
-        for d in reptile_d:
+        for d in (1, 2):
             t0 = time.perf_counter()
             corr = ReptileCorrector.fit(
                 reads,
@@ -155,11 +150,7 @@ def run_table_2_3(
     return rows
 
 
-def run_fig_2_3(
-    ds: Chapter2Dataset,
-    param_points: list[dict] | None = None,
-    max_reads: int | None = None,
-) -> list[dict]:
+def run_fig_2_3(ds: Chapter2Dataset, max_reads: int | None = None) -> list[dict]:
     """Gain & Sensitivity across parameter choices on D3 (Fig. 2.3).
 
     The paper's 12 sample points sweep (Cm, Qc) at k=11/d=1 and end
@@ -167,28 +158,27 @@ def run_fig_2_3(
     bench genome (small k keeps the spectra meaningful).
     """
     k = _k_for(ds)
-    if param_points is None:
-        # The paper's Qc values (60..45) are absolute scores on its
-        # quality scale; we translate them to quantiles of this
-        # dataset's own quality distribution (strict ~35% of bases
-        # below Qc down to lenient ~10%) so the sweep spans the same
-        # strict-to-permissive range whatever the simulator's scale.
-        qhist = quality_histogram(ds.sim.reads)
-        q = lambda frac: quantile_int_from_histogram(qhist, frac)
-        param_points = [
-            {"cm": 14, "qc": q(0.35)},
-            {"cm": 12, "qc": q(0.35)},
-            {"cm": 10, "qc": q(0.35)},
-            {"cm": 10, "qc": q(0.28)},
-            {"cm": 8, "qc": q(0.35)},
-            {"cm": 8, "qc": q(0.28)},
-            {"cm": 8, "qc": q(0.21)},
-            {"cm": 8, "qc": q(0.12)},
-            {"cm": 7, "qc": q(0.12)},
-            {"cm": 6, "qc": q(0.12)},
-            {"cm": 5, "qc": q(0.12)},
-            {"cm": 8, "qc": q(0.12), "k": k + 1, "d": 2},
-        ]
+    # The paper's Qc values (60..45) are absolute scores on its
+    # quality scale; we translate them to quantiles of this
+    # dataset's own quality distribution (strict ~35% of bases
+    # below Qc down to lenient ~10%) so the sweep spans the same
+    # strict-to-permissive range whatever the simulator's scale.
+    qhist = quality_histogram(ds.sim.reads)
+    q = lambda frac: quantile_int_from_histogram(qhist, frac)
+    param_points = [
+        {"cm": 14, "qc": q(0.35)},
+        {"cm": 12, "qc": q(0.35)},
+        {"cm": 10, "qc": q(0.35)},
+        {"cm": 10, "qc": q(0.28)},
+        {"cm": 8, "qc": q(0.35)},
+        {"cm": 8, "qc": q(0.28)},
+        {"cm": 8, "qc": q(0.21)},
+        {"cm": 8, "qc": q(0.12)},
+        {"cm": 7, "qc": q(0.12)},
+        {"cm": 6, "qc": q(0.12)},
+        {"cm": 5, "qc": q(0.12)},
+        {"cm": 8, "qc": q(0.12), "k": k + 1, "d": 2},
+    ]
     mask = ds.evaluable_mask()
     reads = ds.sim.reads.subset(mask)
     true = ds.sim.true_codes[mask]
@@ -244,12 +234,12 @@ def run_table_2_4(
             reads = reads.subset(np.arange(max_reads))
             true = true[:max_reads]
         n_mask = reads.codes == N_CODE
+        corr = ReptileCorrector.fit(
+            ds.sim.reads,
+            genome_length_estimate=ds.sim.genome.length,
+            k=_k_for(ds),
+        )
         for base in default_bases:
-            corr = ReptileCorrector.fit(
-                ds.sim.reads,
-                genome_length_estimate=ds.sim.genome.length,
-                k=_k_for(ds),
-            )
             result = corr.run(
                 reads,
                 ambiguous_default=BASES.index(base),

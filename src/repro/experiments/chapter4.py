@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.closet import ClosetClusterer, ClosetParams, SketchParams
 from ..eval.clustering import clustering_ari, cluster_purity
 from ..eval.datasets import summarize_reads
@@ -12,6 +10,9 @@ from ..simulate.metagenome import RANKS, MetagenomeSample
 #: Default similarity thresholds (Sec. 4.5.2 uses 95/92/90%; our
 #: simulated divergences justify a wider sweep for the ARI study).
 DEFAULT_THRESHOLDS = (0.95, 0.92, 0.90)
+
+#: Table 4.4's threshold sweep, most stringent first.
+ARI_THRESHOLDS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
 
 
 def default_params() -> ClosetParams:
@@ -32,39 +33,13 @@ def run_table_4_1(samples: dict[str, MetagenomeSample]) -> list[dict]:
     return rows
 
 
-def run_table_4_2(
-    samples: dict[str, MetagenomeSample],
-    params: ClosetParams | None = None,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    backend: str = "plain",
-    n_workers: int = 1,
-    policy=None,
-    checkpoint_dir: str | None = None,
-) -> tuple[list[dict], dict]:
-    """Edge and cluster quantities per stage (Table 4.2).
-
-    Returns ``(rows, results)`` where ``results[name]`` keeps the full
-    :class:`ClosetResult` for reuse (Tables 4.3/4.4 share the runs).
-    ``policy``/``checkpoint_dir`` pass through to the MapReduce backend
-    (fault-tolerant execution and edge-phase resume; see
-    docs/fault_tolerance.md).
-    """
-    if params is None:
-        params = default_params()
+def run_table_4_2(samples: dict[str, MetagenomeSample]) -> list[dict]:
+    """Edge and cluster quantities per stage (Table 4.2)."""
     rows = []
-    results = {}
     for name, sample in samples.items():
-        res = ClosetClusterer(params).run(
-            sample.reads,
-            thresholds=list(thresholds),
-            backend=backend,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint_dir=(
-                f"{checkpoint_dir}/{name}" if checkpoint_dir else None
-            ),
+        res = ClosetClusterer(default_params()).run(
+            sample.reads, thresholds=list(DEFAULT_THRESHOLDS)
         )
-        results[name] = res
         er = res.edge_result
         row = {
             "data": name,
@@ -74,39 +49,21 @@ def run_table_4_2(
             "confirmed_edges": er.n_confirmed,
             "pair_fraction": f"{er.fraction_of_all_pairs(sample.n_reads):.2e}",
         }
-        for t in thresholds:
+        for t in DEFAULT_THRESHOLDS:
             row[f"clusters@{t}"] = len(res.clusters[t])
             row[f"processed@{t}"] = res.clusters_processed[t]
         rows.append(row)
-    return rows, results
+    return rows
 
 
-def run_table_4_3(
-    samples: dict[str, MetagenomeSample],
-    params: ClosetParams | None = None,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    backend: str = "mapreduce",
-    n_workers: int = 1,
-    policy=None,
-    checkpoint_dir: str | None = None,
-) -> list[dict]:
+def run_table_4_3(samples: dict[str, MetagenomeSample]) -> list[dict]:
     """Per-stage run time (Table 4.3): sketching, validation,
-    filtering, clustering — across input sizes.  ``policy`` runs the
-    stages on the fault-tolerant engine; ``checkpoint_dir`` lets an
-    interrupted sweep resume past completed edge constructions."""
-    if params is None:
-        params = default_params()
+    filtering, clustering — across input sizes, on the MapReduce
+    backend the paper's stages run on."""
     rows = []
     for name, sample in samples.items():
-        res = ClosetClusterer(params).run(
-            sample.reads,
-            thresholds=list(thresholds),
-            backend=backend,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint_dir=(
-                f"{checkpoint_dir}/{name}" if checkpoint_dir else None
-            ),
+        res = ClosetClusterer(default_params()).run(
+            sample.reads, thresholds=list(DEFAULT_THRESHOLDS), backend="mapreduce"
         )
         row = {"data": name, "n_reads": sample.n_reads}
         for stage, secs in res.stage_seconds.items():
@@ -116,29 +73,21 @@ def run_table_4_3(
     return rows
 
 
-def run_table_4_4_ari(
-    sample: MetagenomeSample,
-    params: ClosetParams | None = None,
-    thresholds: tuple[float, ...] = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
-    ranks: tuple[str, ...] = RANKS,
-) -> list[dict]:
+def run_table_4_4_ari(sample: MetagenomeSample) -> list[dict]:
     """ARI of CLOSET clusters against the canonical clusters of every
     taxonomic rank, across thresholds (the Sec. 4.5.2 methodology made
     concrete — simulation supplies the expert labels).
 
-    The row maximizing ARI for a rank identifies the similarity level
-    that best separates that rank.
+    Rows run from the most stringent threshold down; the row
+    maximizing ARI for a rank identifies the similarity level that
+    best separates that rank.
     """
-    if params is None:
-        params = default_params()
-    res = ClosetClusterer(params).run(
-        sample.reads, thresholds=sorted(thresholds, reverse=True)
-    )
+    res = ClosetClusterer(default_params()).run(sample.reads, thresholds=list(ARI_THRESHOLDS))
     rows = []
-    for t in sorted(thresholds, reverse=True):
+    for t in ARI_THRESHOLDS:
         clusters = res.clusters[t]
         row = {"threshold": t, "n_clusters": len(clusters)}
-        for rank in ranks:
+        for rank in RANKS:
             labels = sample.true_labels(rank)
             row[f"ARI_{rank}"] = round(clustering_ari(clusters, labels), 4)
             row[f"purity_{rank}"] = round(cluster_purity(clusters, labels), 3)
@@ -146,10 +95,10 @@ def run_table_4_4_ari(
     return rows
 
 
-def best_threshold_per_rank(rows: list[dict], ranks=RANKS) -> dict[str, float]:
+def best_threshold_per_rank(rows: list[dict]) -> dict[str, float]:
     """From Table 4.4 rows: the ARI-maximizing threshold per rank."""
     out = {}
-    for rank in ranks:
+    for rank in RANKS:
         key = f"ARI_{rank}"
         best = max(rows, key=lambda r: r[key])
         out[rank] = best["threshold"]

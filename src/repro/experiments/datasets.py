@@ -61,7 +61,7 @@ class Chapter2Dataset:
 #: discarded-read share in Table 2.1 (D6 discarded 1.44M of 8.9M,
 #: ~14%); the junk fractions follow Table 2.2's unmapped tails (D1/D2
 #: ~1%, D3/D4 ~15-19%, D5/D6 ~30-36%).
-_CH2_SPECS = {
+CH2_SPECS = {
     "D1": (36, 160.0, 0.006, "ecoli", 0.005, 0.01),
     "D2": (36, 80.0, 0.006, "ecoli", 0.005, 0.01),
     "D3": (36, 173.0, 0.015, "asp", 0.025, 0.17),
@@ -98,11 +98,11 @@ def chapter2_datasets(
 ) -> dict[str, Chapter2Dataset]:
     """Build the requested Table 2.1 analogues."""
     if names is None:
-        names = list(_CH2_SPECS)
+        names = list(CH2_SPECS)
     genomes = chapter2_genomes(scale=scale, seed=seed)
     out: dict[str, Chapter2Dataset] = {}
     for i, name in enumerate(names):
-        length, cov, err, gtag, n_fraction, junk_fraction = _CH2_SPECS[name]
+        length, cov, err, gtag, n_fraction, junk_fraction = CH2_SPECS[name]
         model = illumina_like_model(
             length, base_rate=err * 0.55, end_multiplier=4.0
         )

